@@ -38,9 +38,6 @@ CspServer::CspServer(CspOptions options, MapExtent extent,
       frontend_(std::make_unique<CachingLbsFrontend>(
           LbsProvider(std::move(pois), options.answers_per_request),
           options.resilience)) {
-  RebuildUserIndex();
-  group_size_of_node_ =
-      GroupSizesByNode(policy_.assignment, engine_->tree().num_nodes());
   for (const obs::SloObjective& objective : obs::DefaultServingObjectives()) {
     obs::SloTracker::Global().EnsureObjective(objective);
   }
@@ -57,8 +54,6 @@ CspServer::CspServer(const CspServer& other)
       engine_(std::make_unique<IncrementalAnonymizer>(*other.engine_)),
       policy_(other.policy_),
       frontend_(std::make_unique<CachingLbsFrontend>(*other.frontend_)),
-      row_of_user_(other.row_of_user_),
-      group_size_of_node_(other.group_size_of_node_),
       next_rid_(other.next_rid_),
       stats_(other.stats_) {}
 
@@ -73,14 +68,6 @@ Result<CspServer> CspServer::Start(LocationDatabase initial_snapshot,
   if (!policy.ok()) return policy.status();
   return CspServer(options, extent, std::move(initial_snapshot),
                    std::move(*engine), std::move(*policy), std::move(pois));
-}
-
-void CspServer::RebuildUserIndex() {
-  row_of_user_.clear();
-  row_of_user_.reserve(snapshot_.size());
-  for (size_t i = 0; i < snapshot_.size(); ++i) {
-    row_of_user_[snapshot_.row(i).user] = i;
-  }
 }
 
 Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
@@ -132,63 +119,62 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
   return answer;
 }
 
-Result<LbsAnswer> CspServer::ServeRequest(const ServiceRequest& sr,
-                                          obs::ProvenanceRecord* p,
-                                          ServeDecision* decision) {
-  obs::ScopedSpan span("csp/handle_request", obs::ScopedSpan::kRoot);
-  WallTimer cloak_timer;
-  const auto it = row_of_user_.find(sr.sender);
-  if (it == row_of_user_.end() ||
-      snapshot_.row(it->second).location != sr.location) {
+Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
+                                                  ServeDecision* decision) {
+  const Result<size_t> row = ValidSenderRow(sr, snapshot_);
+  // An empty assignment means a failed advance dropped the policy: no
+  // request is valid until the next advance extracts one again.
+  if (!row.ok() || *row >= policy_.assignment.size()) {
     decision->rejected = true;
     ++stats_.requests_rejected;
     rejected_counter_.Increment();
     obs::LogDebug("csp", "rejected request from user %lld (stale or unknown)",
                   static_cast<long long>(sr.sender));
-    const Status status = Status::InvalidArgument(
+    return Status::InvalidArgument(
         "service request is not valid w.r.t. the current snapshot");
-    if (p != nullptr) {
-      p->sender = sr.sender;
-      p->k = options_.k;
-      p->outcome = obs::RequestOutcome::kRejected;
-      p->status = StatusCodeName(status.code());
-      p->cloak_seconds = cloak_timer.ElapsedSeconds();
-    }
-    return status;
   }
-  const size_t row = it->second;
-  const int32_t node = row < policy_.assignment.size()
-                           ? policy_.assignment[row]
-                           : -1;
-  if (node >= 0 && static_cast<size_t>(node) < group_size_of_node_.size()) {
-    decision->group_size = group_size_of_node_[node];
-  }
-  const AnonymizedRequest ar{next_rid_++, policy_.table.cloak(row),
-                             sr.params};
-  decision->rid = ar.rid;
-  decision->cloak = ar.cloak;
+  decision->node = policy_.assignment[*row];
+  decision->group_size = policy_.group_sizes[decision->node];
+  decision->rid = next_rid_++;
+  decision->cloak = engine_->tree().node(decision->node).region;
+  return AnonymizedRequest{decision->rid, decision->cloak, sr.params};
+}
+
+Result<LbsAnswer> CspServer::ServeRequest(const ServiceRequest& sr,
+                                          obs::ProvenanceRecord* p,
+                                          ServeDecision* decision) {
+  obs::ScopedSpan span("csp/handle_request", obs::ScopedSpan::kRoot);
+  WallTimer cloak_timer;
+  const Result<AnonymizedRequest> ar = CloakRequest(sr, decision);
   if (p != nullptr) {
-    p->rid = ar.rid;
     p->sender = sr.sender;
     p->k = options_.k;
-    p->cloak_x1 = ar.cloak.x1;
-    p->cloak_y1 = ar.cloak.y1;
-    p->cloak_x2 = ar.cloak.x2;
-    p->cloak_y2 = ar.cloak.y2;
-    p->cloak_area = ar.cloak.Area();
-    p->policy_node = node;
-    if (node >= 0) {
-      const BinaryTree& tree = engine_->tree();
-      p->tree_path = tree.PathString(node);
-      p->node_depth = tree.node(node).depth;
-      p->group_size = decision->group_size;
-      if (static_cast<size_t>(node) < policy_.config.passed_up.size()) {
-        p->passed_up = policy_.config.C(node);
-      }
+  }
+  if (!ar.ok()) {
+    if (p != nullptr) {
+      p->outcome = obs::RequestOutcome::kRejected;
+      p->status = StatusCodeName(ar.status().code());
+      p->cloak_seconds = cloak_timer.ElapsedSeconds();
     }
+    return ar.status();
+  }
+  if (p != nullptr) {
+    const int32_t node = decision->node;
+    const BinaryTree& tree = engine_->tree();
+    p->rid = ar->rid;
+    p->cloak_x1 = ar->cloak.x1;
+    p->cloak_y1 = ar->cloak.y1;
+    p->cloak_x2 = ar->cloak.x2;
+    p->cloak_y2 = ar->cloak.y2;
+    p->cloak_area = ar->cloak.Area();
+    p->policy_node = node;
+    p->tree_path = tree.PathString(node);
+    p->node_depth = tree.node(node).depth;
+    p->group_size = decision->group_size;
+    p->passed_up = policy_.config.C(node);
     p->cloak_seconds = cloak_timer.ElapsedSeconds();
   }
-  Result<LbsAnswer> answer = frontend_->Serve(ar);
+  Result<LbsAnswer> answer = frontend_->Serve(*ar);
   if (!answer.ok()) {
     // Provider down and no cached fallback: the request is lost, but the
     // anonymization guarantee was never at stake — only the LBS hop failed.
@@ -216,36 +202,19 @@ Result<LbsAnswer> CspServer::ServeRequest(const ServiceRequest& sr,
 
 Result<AnonymizedRequest> CspServer::Cloak(const ServiceRequest& sr,
                                            uint64_t* group_size) {
-  static obs::Counter& rejected =
-      obs::MetricsRegistry::Global().GetCounter("csp/requests_rejected");
-  const auto it = row_of_user_.find(sr.sender);
-  if (it == row_of_user_.end() ||
-      snapshot_.row(it->second).location != sr.location) {
-    ++stats_.requests_rejected;
-    rejected_counter_.Increment();
-    return Status::InvalidArgument(
-        "service request is not valid w.r.t. the current snapshot");
-  }
-  const size_t row = it->second;
-  if (group_size != nullptr) {
-    *group_size = 0;
-    const int32_t node = row < policy_.assignment.size()
-                             ? policy_.assignment[row]
-                             : -1;
-    if (node >= 0 &&
-        static_cast<size_t>(node) < group_size_of_node_.size()) {
-      *group_size = group_size_of_node_[node];
-    }
-  }
-  return AnonymizedRequest{next_rid_++, policy_.table.cloak(row), sr.params};
+  ServeDecision decision;
+  Result<AnonymizedRequest> ar = CloakRequest(sr, &decision);
+  if (ar.ok() && group_size != nullptr) *group_size = decision.group_size;
+  return ar;
 }
 
 Status CspServer::RefreshPolicy() {
   Result<ExtractedPolicy> policy = engine_->ExtractPolicy();
-  if (!policy.ok()) return policy.status();
+  if (!policy.ok()) {
+    policy_ = ExtractedPolicy{};
+    return policy.status();
+  }
   policy_ = std::move(*policy);
-  group_size_of_node_ =
-      GroupSizesByNode(policy_.assignment, engine_->tree().num_nodes());
   return Status::Ok();
 }
 
@@ -381,6 +350,9 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
   if (need_rebuild) {
     Status s = RebuildEngine();
     if (!s.ok()) {
+      // A failed repair may have reshaped the tree under the current
+      // assignment; drop the policy rather than serve cloaks from it.
+      policy_ = ExtractedPolicy{};
       obs::LogError("csp", "snapshot rebuild failed: %s",
                     s.ToString().c_str());
       return s;
@@ -422,13 +394,7 @@ void CspServer::ReportMemory(obs::MemoryAccountant& accountant) const {
   accountant.GetCounter("csp/config_matrix")
       .Set(engine_->matrix().ApproxBytes());
   accountant.GetCounter("csp/policy").Set(policy_.ApproxBytes());
-  uint64_t index_bytes =
-      static_cast<uint64_t>(row_of_user_.bucket_count()) * sizeof(void*) +
-      static_cast<uint64_t>(row_of_user_.size()) *
-          (sizeof(std::pair<const UserId, size_t>) + sizeof(void*)) +
-      static_cast<uint64_t>(group_size_of_node_.capacity()) *
-          sizeof(uint32_t);
-  accountant.GetCounter("csp/user_index").Set(index_bytes);
+  accountant.GetCounter("csp/user_index").Set(snapshot_.IndexApproxBytes());
   accountant.GetCounter("lbs/answer_cache")
       .Set(frontend_->cache().ApproxBytes());
   accountant.GetCounter("lbs/poi_index")

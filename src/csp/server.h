@@ -2,7 +2,6 @@
 #define PASA_CSP_SERVER_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -89,7 +88,16 @@ class CspServer {
   const CspOptions& options() const { return options_; }
   const LocationDatabase& snapshot() const { return snapshot_; }
   Cost policy_cost() const { return policy_.cost; }
-  const CloakingTable& policy() const { return policy_.table; }
+  /// The policy tree the current policy was extracted from.
+  const BinaryTree& tree() const { return engine_->tree(); }
+  /// Cloaking tree node of every snapshot row under the current policy;
+  /// row r is served `tree().node(assignment()[r]).region`.
+  const std::vector<int32_t>& assignment() const {
+    return policy_.assignment;
+  }
+  /// The per-row cloaks of the current policy, materialized from the tree
+  /// on each call (for audits and exports; serving reads the tree).
+  CloakingTable policy() const { return policy_.Table(engine_->tree()); }
 
   /// What one HandleRequest decided, for callers (the network front end)
   /// that must echo the cloak decision back to the client: the assigned
@@ -176,11 +184,19 @@ class CspServer {
     uint64_t group_size = 0;
     RequestId rid = 0;
     Rect cloak;
+    int32_t node = -1;  ///< cloaking tree node
   };
 
   CspServer(CspOptions options, MapExtent extent,
             LocationDatabase snapshot, IncrementalAnonymizer engine,
             ExtractedPolicy policy, PoiDatabase pois);
+
+  /// Validates `sr` against the snapshot and cloaks it under the current
+  /// policy, filling `decision`'s rid, cloak, node and group size. An
+  /// invalid request is counted as rejected and fails with
+  /// InvalidArgument. Shared by ServeRequest and Cloak.
+  Result<AnonymizedRequest> CloakRequest(const ServiceRequest& sr,
+                                         ServeDecision* decision);
 
   /// The validate + cloak + LBS-hop core of HandleRequest; annotates the
   /// provenance record (null when disarmed) and fills `decision`.
@@ -189,7 +205,6 @@ class CspServer {
                                  ServeDecision* decision);
 
   Status RefreshPolicy();
-  void RebuildUserIndex();
   /// From-scratch rebuild of the engine on the current snapshot.
   Status RebuildEngine();
 
@@ -204,12 +219,10 @@ class CspServer {
   MapExtent extent_;
   LocationDatabase snapshot_;
   std::unique_ptr<IncrementalAnonymizer> engine_;
+  /// Extracted from engine_'s tree; emptied when an advance fails after
+  /// touching the tree, so no cloak is ever read from another tree.
   ExtractedPolicy policy_;
   std::unique_ptr<CachingLbsFrontend> frontend_;
-  std::unordered_map<UserId, size_t> row_of_user_;
-  /// Anonymity-group size per cloaking tree node for the current policy
-  /// (GroupSizesByNode over policy_.assignment); provenance + anonymity SLO.
-  std::vector<uint32_t> group_size_of_node_;
   RequestId next_rid_ = 1;
   Stats stats_;
 };

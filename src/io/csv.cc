@@ -1,12 +1,12 @@
 #include "io/csv.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 namespace pasa {
@@ -77,6 +77,7 @@ Status ForEachRow(const std::string& text, size_t expected_fields,
 
 Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text) {
   LocationDatabase db;
+  db.Reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')));
   Status s = ForEachRow(
       text, 3, [&](size_t line, const std::vector<std::string>& fields) {
         int64_t user = 0, x = 0, y = 0;
@@ -84,6 +85,11 @@ Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text) {
             !ParseInt(fields[2], &y)) {
           return Status::InvalidArgument("line " + std::to_string(line) +
                                          ": malformed integer");
+        }
+        if (db.IndexOf(user).ok()) {
+          return Status::InvalidArgument("line " + std::to_string(line) +
+                                         ": duplicate user id " +
+                                         std::to_string(user));
         }
         db.Add(user, Point{x, y});
         return Status::Ok();
@@ -122,10 +128,6 @@ std::string FormatCloakingCsv(const LocationDatabase& db,
 
 Result<CloakingTable> ParseCloakingCsv(const std::string& text,
                                        const LocationDatabase& db) {
-  std::unordered_map<UserId, size_t> row_of;
-  row_of.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) row_of[db.row(i).user] = i;
-
   CloakingTable table(db.size());
   std::vector<bool> seen(db.size(), false);
   Status s = ForEachRow(
@@ -137,15 +139,14 @@ Result<CloakingTable> ParseCloakingCsv(const std::string& text,
                                            ": malformed integer");
           }
         }
-        const auto it = row_of.find(values[0]);
-        if (it == row_of.end()) {
+        const Result<size_t> row = db.IndexOf(values[0]);
+        if (!row.ok()) {
           return Status::InvalidArgument(
               "line " + std::to_string(line) + ": unknown user " +
               std::to_string(values[0]));
         }
-        table.Assign(it->second,
-                     Rect{values[1], values[2], values[3], values[4]});
-        seen[it->second] = true;
+        table.Assign(*row, Rect{values[1], values[2], values[3], values[4]});
+        seen[*row] = true;
         return Status::Ok();
       });
   if (!s.ok()) return s;

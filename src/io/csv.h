@@ -17,7 +17,8 @@ namespace pasa {
 
 /// Parses a location database from CSV text. Blank lines and lines starting
 /// with '#' are skipped; a leading header row is detected and skipped.
-/// Returns InvalidArgument with a line number on malformed input.
+/// Returns InvalidArgument with a line number on malformed input or on a
+/// user id that an earlier row already used.
 Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text);
 
 /// Serializes a snapshot (with header).

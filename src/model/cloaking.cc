@@ -44,14 +44,8 @@ bool CloakingTable::IsMasking(const LocationDatabase& db) const {
 Result<AnonymizedRequest> CloakingTable::Apply(const LocationDatabase& db,
                                                const ServiceRequest& sr,
                                                RequestId rid) const {
-  Result<size_t> index = db.IndexOf(sr.sender);
+  Result<size_t> index = ValidSenderRow(sr, db);
   if (!index.ok()) return index.status();
-  if (db.row(*index).location != sr.location) {
-    return Status::InvalidArgument(
-        "service request is not valid w.r.t. the snapshot (location "
-        "mismatch for user " +
-        std::to_string(sr.sender) + ")");
-  }
   if (*index >= cloaks_.size()) {
     return Status::Internal("cloaking table smaller than snapshot");
   }

@@ -1,32 +1,33 @@
 #include "model/location_database.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace pasa {
 
 LocationDatabase::LocationDatabase(std::vector<UserLocation> rows)
     : rows_(std::move(rows)) {
-#ifndef NDEBUG
-  std::vector<UserId> ids;
-  ids.reserve(rows_.size());
-  for (const auto& r : rows_) ids.push_back(r.user);
-  std::sort(ids.begin(), ids.end());
-  assert(std::adjacent_find(ids.begin(), ids.end()) == ids.end() &&
-         "duplicate user ids in location database");
-#endif
+  row_of_user_.reserve(rows_.size());
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    [[maybe_unused]] const bool inserted =
+        row_of_user_.emplace(rows_[i].user, i).second;
+    assert(inserted && "duplicate user ids in location database");
+  }
 }
 
 void LocationDatabase::Add(UserId user, Point location) {
+  [[maybe_unused]] const bool inserted =
+      row_of_user_.emplace(user, rows_.size()).second;
+  assert(inserted && "duplicate user ids in location database");
   rows_.push_back(UserLocation{user, location});
 }
 
 Result<size_t> LocationDatabase::IndexOf(UserId user) const {
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i].user == user) return i;
+  const auto it = row_of_user_.find(user);
+  if (it == row_of_user_.end()) {
+    return Status::NotFound("user " + std::to_string(user) +
+                            " not in location database");
   }
-  return Status::NotFound("user " + std::to_string(user) +
-                          " not in location database");
+  return it->second;
 }
 
 Status LocationDatabase::MoveUser(UserId user, Point new_location) {

@@ -2,6 +2,7 @@
 #define PASA_MODEL_LOCATION_DATABASE_H_
 
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -28,11 +29,14 @@ struct UserLocation {
 ///
 /// Rows are stored in insertion order; `index` below refers to a row's
 /// position, which the anonymization modules use as a dense user handle.
+/// The snapshot is the one owner of the user id -> row mapping: it keeps a
+/// hash index over its rows that every id lookup goes through.
 class LocationDatabase {
  public:
   LocationDatabase() = default;
   /// Builds a snapshot from rows. User ids need not be dense but must be
-  /// unique; uniqueness is the caller's contract (checked in debug builds).
+  /// unique; uniqueness is the caller's contract (checked in debug builds;
+  /// a duplicate id resolves to its first row).
   explicit LocationDatabase(std::vector<UserLocation> rows);
 
   size_t size() const { return rows_.size(); }
@@ -41,10 +45,17 @@ class LocationDatabase {
   const UserLocation& row(size_t index) const { return rows_[index]; }
   const std::vector<UserLocation>& rows() const { return rows_; }
 
-  /// Appends one row.
+  /// Appends one row. `user` must not be in the snapshot yet.
   void Add(UserId user, Point location);
 
-  /// Returns the row index of `user`, or NotFound.
+  /// Makes room for `n` rows and their index entries, so that Adding them
+  /// neither reallocates nor over-sizes the index.
+  void Reserve(size_t n) {
+    rows_.reserve(n);
+    row_of_user_.reserve(n);
+  }
+
+  /// Returns the row index of `user`, or NotFound. One hash lookup.
   Result<size_t> IndexOf(UserId user) const;
 
   /// Moves `user` to `new_location` (the snapshot-to-snapshot update of
@@ -60,14 +71,26 @@ class LocationDatabase {
   /// modules maintain these counts incrementally instead.
   size_t CountInside(const Rect& region) const;
 
-  /// Approximate heap bytes held by the snapshot (memory accounting,
-  /// obs/mem.h).
+  /// Approximate heap bytes held by the rows (memory accounting,
+  /// obs/mem.h). The id index is counted apart, by IndexApproxBytes.
   uint64_t ApproxBytes() const {
     return static_cast<uint64_t>(rows_.capacity()) * sizeof(UserLocation);
   }
 
+  /// Approximate heap bytes held by the user id -> row index: the bucket
+  /// array plus one node (key, row, next pointer) per user.
+  uint64_t IndexApproxBytes() const {
+    return static_cast<uint64_t>(row_of_user_.bucket_count()) *
+               sizeof(void*) +
+           static_cast<uint64_t>(row_of_user_.size()) *
+               (sizeof(std::pair<const UserId, size_t>) + sizeof(void*));
+  }
+
  private:
   std::vector<UserLocation> rows_;
+  /// Row of every user id. Ids never change after a row is added, so only
+  /// the constructor and Add write it.
+  std::unordered_map<UserId, size_t> row_of_user_;
 };
 
 }  // namespace pasa

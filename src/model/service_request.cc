@@ -2,10 +2,17 @@
 
 namespace pasa {
 
-bool IsValid(const ServiceRequest& sr, const LocationDatabase& db) {
-  Result<size_t> index = db.IndexOf(sr.sender);
-  if (!index.ok()) return false;
-  return db.row(*index).location == sr.location;
+Result<size_t> ValidSenderRow(const ServiceRequest& sr,
+                              const LocationDatabase& db) {
+  Result<size_t> row = db.IndexOf(sr.sender);
+  if (!row.ok()) return row.status();
+  if (db.row(*row).location != sr.location) {
+    return Status::InvalidArgument(
+        "service request is not valid w.r.t. the snapshot (location "
+        "mismatch for user " +
+        std::to_string(sr.sender) + ")");
+  }
+  return row;
 }
 
 }  // namespace pasa

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "geo/point.h"
 #include "model/location_database.h"
 
@@ -39,9 +40,18 @@ inline UserId id(const ServiceRequest& sr) { return sr.sender; }
 /// `loc(SR)` of the paper: the request's coordinates.
 inline Point loc(const ServiceRequest& sr) { return sr.location; }
 
-/// True if the request is valid w.r.t. `db` (Definition 1): the row
-/// <u, x, y> appears in the snapshot.
-bool IsValid(const ServiceRequest& sr, const LocationDatabase& db);
+/// The sender-validity check of Definition 1: returns the snapshot row of
+/// `sr`'s sender when the row <u, x, y> appears in `db`. Fails with NotFound
+/// when the sender is not in the snapshot and with InvalidArgument when the
+/// snapshot has them at another location. Every request path (the cloaking
+/// table, the anonymizer, the CSP) validates through this one function.
+Result<size_t> ValidSenderRow(const ServiceRequest& sr,
+                              const LocationDatabase& db);
+
+/// True if the request is valid w.r.t. `db`: ValidSenderRow succeeds.
+inline bool IsValid(const ServiceRequest& sr, const LocationDatabase& db) {
+  return ValidSenderRow(sr, db).ok();
+}
 
 }  // namespace pasa
 

@@ -56,7 +56,7 @@ Status AnonymizeJurisdiction(const LocationDatabase& db,
   result->seconds = timer.ElapsedSeconds();
   result->cost = policy->cost;
   for (size_t i = 0; i < rows.size(); ++i) {
-    master->Assign(rows[i], policy->table.cloak(i));
+    master->Assign(rows[i], tree->node(policy->assignment[i]).region);
   }
   return Status::Ok();
 }

@@ -31,23 +31,11 @@ Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
   }();
   if (!policy.ok()) return policy.status();
 
-  std::unordered_map<UserId, size_t> row_of_user;
-  row_of_user.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) row_of_user[db.row(i).user] = i;
-
   obs::LogDebug("anonymizer", "built optimal policy: %zu users, k=%d, "
                 "cost %lld",
                 db.size(), options.k,
                 static_cast<long long>(policy->cost));
-  Anonymizer a(options, std::move(*tree), std::move(*policy),
-               std::move(row_of_user));
-  a.location_of_user_.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    a.location_of_user_[db.row(i).user] = db.row(i).location;
-  }
-  a.group_size_of_node_ =
-      GroupSizesByNode(a.policy_.assignment, a.tree_.num_nodes());
-  return a;
+  return Anonymizer(options, db, std::move(*tree), std::move(*policy));
 }
 
 Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
@@ -58,29 +46,19 @@ Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
 }
 
 Result<Rect> Anonymizer::CloakForUser(UserId user) const {
-  const auto it = row_of_user_.find(user);
-  if (it == row_of_user_.end()) {
-    return Status::NotFound("user " + std::to_string(user) +
-                            " not in the anonymized snapshot");
-  }
-  return policy_.table.cloak(it->second);
+  Result<size_t> row = db_.IndexOf(user);
+  if (!row.ok()) return row.status();
+  return CloakForRow(*row);
 }
 
 Result<AnonymizedRequest> Anonymizer::Anonymize(const ServiceRequest& sr) {
   static obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
       "anonymizer/cloak_lookup_seconds");
   obs::ScopedHistogramTimer timer(latency);
-  const auto it = row_of_user_.find(sr.sender);
-  if (it == row_of_user_.end()) {
-    return Status::NotFound("sender not in the anonymized snapshot");
-  }
-  const auto loc_it = location_of_user_.find(sr.sender);
-  if (loc_it == location_of_user_.end() || loc_it->second != sr.location) {
-    return Status::InvalidArgument(
-        "service request is not valid w.r.t. the snapshot");
-  }
-  AnonymizedRequest ar{next_rid_++, policy_.table.cloak(it->second),
-                       sr.params};
+  Result<size_t> row = ValidSenderRow(sr, db_);
+  if (!row.ok()) return row.status();
+  const int32_t node = policy_.assignment[*row];
+  AnonymizedRequest ar{next_rid_++, tree_.node(node).region, sr.params};
   if (obs::ProvenanceRecord* p = obs::CurrentProvenance()) {
     p->rid = ar.rid;
     p->sender = sr.sender;
@@ -90,20 +68,11 @@ Result<AnonymizedRequest> Anonymizer::Anonymize(const ServiceRequest& sr) {
     p->cloak_x2 = ar.cloak.x2;
     p->cloak_y2 = ar.cloak.y2;
     p->cloak_area = ar.cloak.Area();
-    const size_t row = it->second;
-    const int32_t node =
-        row < policy_.assignment.size() ? policy_.assignment[row] : -1;
     p->policy_node = node;
-    if (node >= 0) {
-      p->tree_path = tree_.PathString(node);
-      p->node_depth = tree_.node(node).depth;
-      if (static_cast<size_t>(node) < group_size_of_node_.size()) {
-        p->group_size = group_size_of_node_[node];
-      }
-      if (static_cast<size_t>(node) < policy_.config.passed_up.size()) {
-        p->passed_up = policy_.config.C(node);
-      }
-    }
+    p->tree_path = tree_.PathString(node);
+    p->node_depth = tree_.node(node).depth;
+    p->group_size = policy_.group_sizes[node];
+    p->passed_up = policy_.config.C(node);
   }
   return ar;
 }

@@ -2,7 +2,6 @@
 #define PASA_PASA_ANONYMIZER_H_
 
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -50,13 +49,16 @@ class Anonymizer {
 
   const AnonymizerOptions& options() const { return options_; }
   const BinaryTree& tree() const { return tree_; }
-  const CloakingTable& policy() const { return policy_.table; }
+  /// The per-row cloaks, materialized from the tree on each call.
+  CloakingTable policy() const { return policy_.Table(tree_); }
   const Configuration& config() const { return policy_.config; }
   /// Total policy cost (sum of cloak areas over all users).
   Cost cost() const { return policy_.cost; }
 
-  /// Cloak assigned to snapshot row `row`.
-  const Rect& CloakForRow(size_t row) const { return policy_.table.cloak(row); }
+  /// Cloak assigned to snapshot row `row`: its cloaking node's region.
+  const Rect& CloakForRow(size_t row) const {
+    return tree_.node(policy_.assignment[row]).region;
+  }
 
   /// Cloak assigned to `user`; NotFound if absent from the snapshot.
   Result<Rect> CloakForUser(UserId user) const;
@@ -67,22 +69,18 @@ class Anonymizer {
   Result<AnonymizedRequest> Anonymize(const ServiceRequest& sr);
 
  private:
-  Anonymizer(AnonymizerOptions options, BinaryTree tree,
-             ExtractedPolicy policy,
-             std::unordered_map<UserId, size_t> row_of_user)
+  Anonymizer(AnonymizerOptions options, LocationDatabase db, BinaryTree tree,
+             ExtractedPolicy policy)
       : options_(options),
+        db_(std::move(db)),
         tree_(std::move(tree)),
-        policy_(std::move(policy)),
-        row_of_user_(std::move(row_of_user)) {}
+        policy_(std::move(policy)) {}
 
   AnonymizerOptions options_;
+  /// The anonymized snapshot: request validation and user -> row lookups.
+  LocationDatabase db_;
   BinaryTree tree_;
   ExtractedPolicy policy_;
-  std::unordered_map<UserId, size_t> row_of_user_;
-  std::unordered_map<UserId, Point> location_of_user_;
-  /// Anonymity-group size per cloaking node (GroupSizesByNode), for the
-  /// provenance record Anonymize fills when the audit ring is armed.
-  std::vector<uint32_t> group_size_of_node_;
   RequestId next_rid_ = 1;
 };
 

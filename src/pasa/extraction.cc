@@ -45,10 +45,7 @@ Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
   const BinaryTree::Node& root = tree.node(BinaryTree::kRootId);
   ExtractedPolicy out;
   out.config.passed_up.assign(tree.num_nodes(), 0);
-  if (root.count == 0) {
-    out.table = CloakingTable(0);
-    return out;
-  }
+  if (root.count == 0) return out;
   if (root.count < static_cast<uint32_t>(k)) {
     return Status::Infeasible("fewer than k users in the snapshot");
   }
@@ -115,23 +112,22 @@ Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
     return Status::Internal("complete configuration left rows uncloaked");
   }
 
-  out.table = CloakingTable(num_rows);
+  out.group_sizes.assign(tree.num_nodes(), 0);
   for (size_t row = 0; row < num_rows; ++row) {
     if (out.assignment[row] < 0) {
       return Status::Internal("row " + std::to_string(row) + " unassigned");
     }
-    out.table.Assign(row, tree.node(out.assignment[row]).region);
+    ++out.group_sizes[out.assignment[row]];
   }
   return out;
 }
 
-std::vector<uint32_t> GroupSizesByNode(const std::vector<int32_t>& assignment,
-                                       size_t num_nodes) {
-  std::vector<uint32_t> sizes(num_nodes, 0);
-  for (const int32_t node : assignment) {
-    if (node >= 0 && static_cast<size_t>(node) < num_nodes) ++sizes[node];
+CloakingTable ExtractedPolicy::Table(const BinaryTree& tree) const {
+  CloakingTable table(assignment.size());
+  for (size_t row = 0; row < assignment.size(); ++row) {
+    table.Assign(row, tree.node(assignment[row]).region);
   }
-  return sizes;
+  return table;
 }
 
 }  // namespace pasa

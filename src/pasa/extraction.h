@@ -13,20 +13,31 @@
 namespace pasa {
 
 /// A concrete optimal policy materialized from a configuration matrix: the
-/// per-user cloaks, the configuration it realizes, and the cloaking node of
-/// every snapshot row ("exhibit in linear time one of the policies C
-/// represents", Section IV-B).
+/// configuration it realizes and the cloaking node of every snapshot row
+/// ("exhibit in linear time one of the policies C represents", Section
+/// IV-B). Row `r`'s cloak is that node's region,
+/// `tree.node(assignment[r]).region`, read from the tree the policy was
+/// extracted from.
 struct ExtractedPolicy {
-  CloakingTable table;
   Configuration config;
   std::vector<int32_t> assignment;  ///< cloaking tree node per snapshot row
+  /// Rows assigned to each tree node: the size of the anonymity group a
+  /// sender cloaked at that node hides in (>= k for every node used).
+  std::vector<uint32_t> group_sizes;
   Cost cost = 0;
 
-  /// Approximate heap bytes across all three members (memory accounting,
+  /// Materializes the per-row cloaks over `tree`, which must be the tree
+  /// this policy was extracted from. For the callers that need a
+  /// CloakingTable (auditors, the Section VI baselines, exports); serving
+  /// reads the tree directly.
+  CloakingTable Table(const BinaryTree& tree) const;
+
+  /// Approximate heap bytes across the members (memory accounting,
   /// obs/mem.h).
   uint64_t ApproxBytes() const {
-    return table.ApproxBytes() + config.ApproxBytes() +
-           static_cast<uint64_t>(assignment.capacity()) * sizeof(int32_t);
+    return config.ApproxBytes() +
+           static_cast<uint64_t>(assignment.capacity()) * sizeof(int32_t) +
+           static_cast<uint64_t>(group_sizes.capacity()) * sizeof(uint32_t);
   }
 };
 
@@ -36,13 +47,6 @@ struct ExtractedPolicy {
 /// 1; we pick deterministically in resident-row order.
 Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
                                              const DpMatrix& matrix, int k);
-
-/// Number of snapshot rows assigned to each cloaking node: the size of the
-/// anonymity group a sender cloaked at that node hides in (>= k for every
-/// node the assignment uses). `num_nodes` sizes the result; out-of-range
-/// assignment entries are ignored.
-std::vector<uint32_t> GroupSizesByNode(const std::vector<int32_t>& assignment,
-                                       size_t num_nodes);
 
 }  // namespace pasa
 

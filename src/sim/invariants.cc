@@ -12,11 +12,12 @@ namespace {
 std::optional<Violation> CheckKAnonymity(const SimModel& model) {
   const CspServer& csp = model.csp();
   const int k = model.options().k;
-  if (!csp.policy().IsMasking(csp.snapshot())) {
+  const CloakingTable policy = csp.policy();
+  if (!policy.IsMasking(csp.snapshot())) {
     return Violation{"kanon", "current policy is not masking: some user's "
                               "cloak does not contain their location"};
   }
-  const AuditReport audit = AuditPolicyAware(csp.policy());
+  const AuditReport audit = AuditPolicyAware(policy);
   if (!audit.Anonymous(k)) {
     std::ostringstream detail;
     detail << "policy-aware audit of the current policy finds a cloaking "

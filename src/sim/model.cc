@@ -374,9 +374,9 @@ std::string SimModel::DigestText() const {
     out << row.user << "@" << row.location.x << "," << row.location.y << ";";
   }
   out << "cloaks=";
-  const CloakingTable& table = csp_.policy();
-  for (size_t i = 0; i < table.size(); ++i) {
-    const Rect& c = table.cloak(i);
+  const BinaryTree& tree = csp_.tree();
+  for (const int32_t node : csp_.assignment()) {
+    const Rect& c = tree.node(node).region;
     out << c.x1 << "," << c.y1 << "," << c.x2 << "," << c.y2 << ";";
   }
   out << "cost=" << csp_.policy_cost() << ";cache=";

@@ -59,6 +59,7 @@ LocationDatabase BayAreaGenerator::Generate(size_t n) const {
   const Coord side = Coord{1} << options_.log2_map_side;
 
   LocationDatabase db;
+  db.Reserve(n);
   UserId next_user = 0;
   size_t produced = 0;
   while (produced < n) {
@@ -94,6 +95,7 @@ LocationDatabase BayAreaGenerator::Sample(const LocationDatabase& master,
                         static_cast<uint32_t>(take));
   std::sort(rows.begin(), rows.end());
   LocationDatabase db;
+  db.Reserve(rows.size());
   UserId next_user = 0;
   for (const uint32_t row : rows) {
     db.Add(next_user++, master.row(row).location);

@@ -153,8 +153,9 @@ TEST(AdaptiveOrientation, ApplyMoveKeepsPartitionAndOptimality) {
   ASSERT_TRUE(matrix.ok());
   Result<ExtractedPolicy> policy = ExtractOptimalPolicy(*tree, *matrix, k);
   ASSERT_TRUE(policy.ok());
-  EXPECT_TRUE(policy->table.IsMasking(db));
-  EXPECT_GE(policy->table.MinGroupSize(), static_cast<size_t>(k));
+  const CloakingTable table = policy->Table(*tree);
+  EXPECT_TRUE(table.IsMasking(db));
+  EXPECT_GE(table.MinGroupSize(), static_cast<size_t>(k));
 }
 
 }  // namespace

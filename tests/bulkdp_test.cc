@@ -161,9 +161,10 @@ TEST_P(DpEquivalenceSweep, AllVariantsMatchOracle) {
           ExtractOptimalPolicy(*tree, *matrix, p.k);
       ASSERT_TRUE(policy.ok()) << policy.status().ToString();
       EXPECT_EQ(policy->cost, oracle);
-      EXPECT_EQ(policy->table.TotalCost(), oracle);
-      EXPECT_TRUE(policy->table.IsMasking(db));
-      EXPECT_GE(policy->table.MinGroupSize(), static_cast<size_t>(p.k));
+      const CloakingTable table = policy->Table(*tree);
+      EXPECT_EQ(table.TotalCost(), oracle);
+      EXPECT_TRUE(table.IsMasking(db));
+      EXPECT_GE(table.MinGroupSize(), static_cast<size_t>(p.k));
       EXPECT_TRUE(SatisfiesKSummation(*tree, policy->config, p.k));
       EXPECT_EQ(ConfigurationCost(*tree, policy->config), oracle);
     }

@@ -180,6 +180,59 @@ TEST(CspServerTest, SnapshotAdvanceChoosesIncrementalOrRebuild) {
                   .ok());
 }
 
+TEST(CspServerTest, ServedCloaksMatchThePolicyTreeAfterEachAdvance) {
+  const BayAreaGenerator gen(SmallBay());
+  LocationDatabase db = gen.Generate(1000);
+  CspOptions options;
+  options.k = 10;
+  options.rebuild_fraction = 0.05;
+  Result<CspServer> csp = CspServer::Start(db, gen.extent(),
+                                           SomePois(gen.extent(), 100),
+                                           options);
+  ASSERT_TRUE(csp.ok());
+
+  auto expect_cloaks_match = [&](const char* phase) {
+    const CloakingTable table = csp->policy();
+    const auto groups = table.GroupSizesByRegion();
+    const LocationDatabase& snapshot = csp->snapshot();
+    ASSERT_EQ(table.size(), snapshot.size()) << phase;
+    ASSERT_EQ(csp->assignment().size(), snapshot.size()) << phase;
+    for (size_t row = 0; row < snapshot.size(); ++row) {
+      const UserLocation& user = snapshot.row(row);
+      uint64_t group_size = 0;
+      Result<AnonymizedRequest> ar =
+          csp->Cloak(ServiceRequest{user.user, user.location, {}},
+                     &group_size);
+      ASSERT_TRUE(ar.ok()) << phase << " row " << row;
+      EXPECT_EQ(ar->cloak, table.cloak(row)) << phase << " row " << row;
+      EXPECT_EQ(ar->cloak,
+                csp->tree().node(csp->assignment()[row]).region)
+          << phase << " row " << row;
+      EXPECT_EQ(group_size, groups.at(ar->cloak.ToString()))
+          << phase << " row " << row;
+    }
+  };
+  expect_cloaks_match("start");
+
+  MovementOptions movement;
+  movement.max_distance = 50.0;
+  movement.moving_fraction = 0.01;
+  movement.seed = 1;
+  Result<SnapshotReport> repair = csp->AdvanceSnapshot(
+      DrawMoves(csp->snapshot(), gen.extent(), movement));
+  ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+  ASSERT_FALSE(repair->rebuilt);
+  expect_cloaks_match("repair");
+
+  movement.moving_fraction = 0.08;
+  movement.seed = 2;
+  Result<SnapshotReport> rebuild = csp->AdvanceSnapshot(
+      DrawMoves(csp->snapshot(), gen.extent(), movement));
+  ASSERT_TRUE(rebuild.ok()) << rebuild.status().ToString();
+  ASSERT_TRUE(rebuild->rebuilt);
+  expect_cloaks_match("rebuild");
+}
+
 TEST(CspServerTest, QuarantinesMalformedMovesAndAppliesTheRest) {
   const BayAreaGenerator gen(SmallBay());
   LocationDatabase db = gen.Generate(300);

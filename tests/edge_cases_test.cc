@@ -57,8 +57,9 @@ TEST(EdgeTree, MaxDepthCapsMaterialization) {
   ASSERT_TRUE(matrix.ok());
   Result<ExtractedPolicy> policy = ExtractOptimalPolicy(*tree, *matrix, 2);
   ASSERT_TRUE(policy.ok());
-  EXPECT_TRUE(policy->table.IsMasking(db));
-  EXPECT_GE(policy->table.MinGroupSize(), 2u);
+  const CloakingTable table = policy->Table(*tree);
+  EXPECT_TRUE(table.IsMasking(db));
+  EXPECT_GE(table.MinGroupSize(), 2u);
 }
 
 TEST(EdgeTree, ZeroThresholdRejected) {

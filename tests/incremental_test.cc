@@ -63,9 +63,10 @@ TEST_P(IncrementalSweep, MatchesRebuildAcrossSnapshots) {
     // The extracted policy stays valid on the moved snapshot.
     Result<ExtractedPolicy> policy = inc->ExtractPolicy();
     ASSERT_TRUE(policy.ok());
-    EXPECT_TRUE(policy->table.IsMasking(db));
-    EXPECT_GE(policy->table.MinGroupSize(), static_cast<size_t>(p.k));
-    EXPECT_EQ(policy->table.TotalCost(), *incremental_cost);
+    const CloakingTable table = policy->Table(inc->tree());
+    EXPECT_TRUE(table.IsMasking(db));
+    EXPECT_GE(table.MinGroupSize(), static_cast<size_t>(p.k));
+    EXPECT_EQ(table.TotalCost(), *incremental_cost);
   }
 }
 

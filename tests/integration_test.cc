@@ -124,15 +124,16 @@ TEST(Integration, SnapshotAdvanceKeepsPrivacyAndOptimality) {
 
     Result<ExtractedPolicy> policy = inc->ExtractPolicy();
     ASSERT_TRUE(policy.ok());
-    EXPECT_TRUE(policy->table.IsMasking(db));
-    EXPECT_TRUE(AuditPolicyAware(policy->table).Anonymous(k));
+    const CloakingTable table = policy->Table(inc->tree());
+    EXPECT_TRUE(table.IsMasking(db));
+    EXPECT_TRUE(AuditPolicyAware(table).Anonymous(k));
 
     // Matches a from-scratch rebuild on the advanced snapshot.
     AnonymizerOptions options;
     options.k = k;
     Result<Anonymizer> fresh = Anonymizer::Build(db, gen.extent(), options);
     ASSERT_TRUE(fresh.ok());
-    EXPECT_EQ(policy->table.TotalCost(), fresh->cost());
+    EXPECT_EQ(table.TotalCost(), fresh->cost());
   }
 }
 

@@ -42,6 +42,17 @@ TEST(CsvTest, RejectsMalformedRows) {
   EXPECT_NE(s.message().find("line 2"), std::string::npos);
 }
 
+TEST(CsvTest, RejectsDuplicateUserIds) {
+  const Status s =
+      ParseLocationDatabaseCsv("userid,locx,locy\n1,0,0\n2,1,1\n1,2,2\n")
+          .status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  // The header is line 1, so the second row of user 1 is line 4.
+  EXPECT_NE(s.message().find("line 4"), std::string::npos) << s.ToString();
+  EXPECT_NE(s.message().find("duplicate user id 1"), std::string::npos)
+      << s.ToString();
+}
+
 TEST(CsvTest, LocationRoundTrip) {
   const LocationDatabase db = MakeDb({{0, 0}, {123, -456}, {7, 7}});
   Result<LocationDatabase> parsed =

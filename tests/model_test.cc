@@ -37,6 +37,38 @@ TEST(LocationDatabaseTest, IndexOfFindsAndFails) {
   EXPECT_EQ(db.IndexOf(99).status().code(), StatusCode::kNotFound);
 }
 
+TEST(LocationDatabaseTest, IndexStaysConsistent) {
+  auto expect_all_found = [](const LocationDatabase& db) {
+    for (size_t i = 0; i < db.size(); ++i) {
+      Result<size_t> found = db.IndexOf(db.row(i).user);
+      ASSERT_TRUE(found.ok()) << "user " << db.row(i).user;
+      EXPECT_EQ(*found, i);
+    }
+    EXPECT_EQ(db.IndexOf(99).status().code(), StatusCode::kNotFound);
+  };
+  // Built by the constructor, then grown with Add.
+  LocationDatabase db({{7, {1, 2}}, {3, {0, 0}}});
+  expect_all_found(db);
+  db.Add(12, {5, 5});
+  db.Add(-4, {6, 6});
+  ASSERT_EQ(db.size(), 4u);
+  expect_all_found(db);
+
+  // A copy owns an index of its own: growing it leaves the original alone.
+  LocationDatabase copy(db);
+  expect_all_found(copy);
+  copy.Add(40, {7, 7});
+  expect_all_found(copy);
+  EXPECT_EQ(db.IndexOf(40).status().code(), StatusCode::kNotFound);
+
+  // Moves change locations, never ids or rows.
+  ASSERT_TRUE(copy.MoveUser(12, {0, 9}).ok());
+  ASSERT_TRUE(copy.MoveUser(40, {1, 1}).ok());
+  EXPECT_EQ(copy.row(2).location, (Point{0, 9}));
+  expect_all_found(copy);
+  EXPECT_EQ(copy.MoveUser(99, {0, 0}).code(), StatusCode::kNotFound);
+}
+
 TEST(LocationDatabaseTest, MoveUser) {
   LocationDatabase db = ExampleDb();
   ASSERT_TRUE(db.MoveUser(1, {1, 1}).ok());

@@ -23,20 +23,27 @@ LocationDatabase PaperExampleDb() {
   return MakeDb({{0, 0}, {0, 1}, {0, 3}, {2, 0}, {3, 3}});
 }
 
+// Holds no pointers, so the parameter gtest prints into each test name
+// is the same bytes in every process rather than an ASLR'd address.
+enum class Baseline : int32_t { kPuq, kPub, kCasper };
+
 struct BaselineCase {
-  const char* name;
-  // Factory so each test owns its algorithm instance.
-  std::unique_ptr<BulkPolicyAlgorithm> (*make)(MapExtent);
+  char name[12];
+  Baseline baseline;
 };
 
-std::unique_ptr<BulkPolicyAlgorithm> MakePuq(MapExtent e) {
-  return std::make_unique<PolicyUnawareQuad>(e);
-}
-std::unique_ptr<BulkPolicyAlgorithm> MakePub(MapExtent e) {
-  return std::make_unique<PolicyUnawareBinary>(e);
-}
-std::unique_ptr<BulkPolicyAlgorithm> MakeCasper(MapExtent e) {
-  return std::make_unique<CasperPolicy>(e);
+// Factory so each test owns its algorithm instance.
+std::unique_ptr<BulkPolicyAlgorithm> MakeBaseline(Baseline baseline,
+                                                  MapExtent e) {
+  switch (baseline) {
+    case Baseline::kPuq:
+      return std::make_unique<PolicyUnawareQuad>(e);
+    case Baseline::kPub:
+      return std::make_unique<PolicyUnawareBinary>(e);
+    case Baseline::kCasper:
+      return std::make_unique<CasperPolicy>(e);
+  }
+  return nullptr;
 }
 
 class KInsideBaselineTest
@@ -47,7 +54,7 @@ TEST_P(KInsideBaselineTest, MaskingAndKInsideOnRandomSnapshots) {
     Rng rng(seed);
     const MapExtent extent{0, 0, 6};
     const LocationDatabase db = RandomDb(&rng, 400, extent);
-    const auto algorithm = GetParam().make(extent);
+    const auto algorithm = MakeBaseline(GetParam().baseline, extent);
     for (const int k : {2, 5, 17}) {
       Result<CloakingTable> table = algorithm->Cloak(db, k);
       ASSERT_TRUE(table.ok()) << algorithm->name() << " k=" << k;
@@ -65,15 +72,15 @@ TEST_P(KInsideBaselineTest, MaskingAndKInsideOnRandomSnapshots) {
 TEST_P(KInsideBaselineTest, InfeasibleBelowK) {
   const MapExtent extent{0, 0, 3};
   const LocationDatabase db = MakeDb({{0, 0}, {1, 1}});
-  const auto algorithm = GetParam().make(extent);
+  const auto algorithm = MakeBaseline(GetParam().baseline, extent);
   EXPECT_EQ(algorithm->Cloak(db, 3).status().code(), StatusCode::kInfeasible);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Baselines, KInsideBaselineTest,
-    ::testing::Values(BaselineCase{"PUQ", &MakePuq},
-                      BaselineCase{"PUB", &MakePub},
-                      BaselineCase{"Casper", &MakeCasper}),
+    ::testing::Values(BaselineCase{"PUQ", Baseline::kPuq},
+                      BaselineCase{"PUB", Baseline::kPub},
+                      BaselineCase{"Casper", Baseline::kCasper}),
     [](const ::testing::TestParamInfo<BaselineCase>& info) {
       return info.param.name;
     });
@@ -107,8 +114,8 @@ TEST(Example1Breach, SemiQuadrantKInsidePoliciesExposeCarol) {
   const LocationDatabase db = PaperExampleDb();
   const MapExtent extent{0, 0, 2};
   const size_t carol = 2;
-  for (auto* make : {&MakePub, &MakeCasper}) {
-    const auto algorithm = (*make)(extent);
+  for (const Baseline baseline : {Baseline::kPub, Baseline::kCasper}) {
+    const auto algorithm = MakeBaseline(baseline, extent);
     Result<CloakingTable> table = algorithm->Cloak(db, 2);
     ASSERT_TRUE(table.ok()) << algorithm->name();
     EXPECT_TRUE(AuditPolicyUnaware(*table, db).Anonymous(2))

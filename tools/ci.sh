@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI driver: release build + full ctest, an AddressSanitizer
+# Tier-1 CI driver: release build + full ctest (plus the pasa_bench smoke
+# and stream-digest ctests against the release server), an AddressSanitizer
 # build + full ctest (both followed by a bounded state-space-explorer leg
 # that must cover its instance exhaustively with zero invariant violations
 # and reproduce the committed golden counterexample), a ThreadSanitizer
@@ -67,6 +68,16 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   ctest --test-dir "${prefix}-release" --output-on-failure -j "${jobs}"
   step "state-space explorer leg (release)"
   explore_leg "${prefix}-release"
+  step "pasa_bench smoke against the release server (~30 s)"
+  # The benchmark is its own CMake project (benchmark/). Its output checks
+  # compare every served cloak, group size, POI set and per-advance
+  # policy cost against an in-process replay, end to end.
+  cmake -B "${prefix}-release/benchmark" -S benchmark \
+      -DCMAKE_BUILD_TYPE=Release \
+      -DPASA_SERVER="$(cd "${prefix}-release" && pwd)/tools/pasa_cli"
+  cmake --build "${prefix}-release/benchmark" -j "${jobs}" --target pasa_bench
+  ctest --test-dir "${prefix}-release/benchmark" --output-on-failure \
+        -R 'pasa_bench_smoke|pasa_bench_stream_digest'
 else
   step "release build skipped (PASA_CI_SKIP_RELEASE=1)"
 fi

@@ -112,6 +112,11 @@ run_or_die(2 ${CLI} serve --in ${LOC} --k 20 --fault-plan ${BAD_PLAN})
 run_or_die(2 ${CLI} serve --in ${LOC} --k 20 --fault-seed 7)
 run_or_die(2 ${CLI} serve --k 20)
 
+# A snapshot that lists one user id twice is rejected at load time.
+set(DUP ${WORK_DIR}/cli_smoke_dup.csv)
+file(WRITE ${DUP} "userid,locx,locy\n1,0,0\n2,1,1\n1,2,2\n")
+run_or_die(1 ${CLI} serve --in ${DUP} --k 1)
+
 # Fractional and overflowing schedule counts are typed parse errors, not
 # silently truncated casts.
 set(FRAC_PLAN ${WORK_DIR}/cli_smoke_frac_plan.json)
@@ -295,4 +300,4 @@ run_or_die(1 ${CLI} anonymize --in /no/such.csv --k 5 --out ${OPT})
 
 file(REMOVE ${LOC} ${OPT} ${CASPER} ${METRICS} ${TRACE} ${PLAN} ${BAD_PLAN}
      ${FRAC_PLAN} ${HUGE_PLAN} ${CE} ${AUDIT} ${SLO} ${BAD_SLO}
-     ${STREAM_AUDIT} ${TRACE2} ${MERGED})
+     ${STREAM_AUDIT} ${TRACE2} ${MERGED} ${DUP})

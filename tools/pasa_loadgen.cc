@@ -454,6 +454,10 @@ int main(int argc, char** argv) {
   }
 
   if (flags.Has("shutdown")) {
+    // When stdout is a pipe into the server (tools/net_smoke.cmake), the
+    // server closes its end on exit: flush the report while it is still
+    // reading, or the flush at our exit raises SIGPIPE.
+    std::fflush(stdout);
     Result<net::NetClient> client =
         net::NetClient::Connect(shared.port, shared.connect_timeout);
     if (client.ok()) {
