@@ -355,6 +355,7 @@ NetServer::Stats NetServer::stats() const {
   s.faults_injected = faults_injected_.load();
   s.bytes_read = bytes_read_.load();
   s.bytes_written = bytes_written_.load();
+  s.write_calls = write_calls_.load();
   s.admin_connections = admin_connections_.load();
   s.admin_requests = admin_requests_.load();
   return s;
@@ -381,8 +382,8 @@ void NetServer::Loop() {
         FailPendingUnavailable();
       }
       // Exit once every queued response has been flushed (torn writes
-      // resume below), so a shutdown ack actually reaches the client
-      // before the loop dies.
+      // resume in FlushDirty), so a shutdown ack actually reaches the
+      // client before the loop dies.
       bool outstanding = !pending_.empty();
       for (auto& [fd, conn] : conns_) {
         if (conn.out_offset < conn.outbuf.size()) outstanding = true;
@@ -390,15 +391,10 @@ void NetServer::Loop() {
       if (!outstanding) break;
     }
 
-    // A tick with queued work or held-back torn writes must not park in
-    // the poller.
-    bool torn_pending = false;
-    for (auto& [fd, conn] : conns_) {
-      if (conn.torn && conn.out_offset < conn.outbuf.size()) {
-        torn_pending = true;
-      }
-    }
-    const int timeout_ms = (!pending_.empty() || torn_pending) ? 0 : 50;
+    // A tick with queued work or owed flushes (torn remainders) must not
+    // park in the poller.
+    const bool flush_owed = !dirty_.empty();
+    const int timeout_ms = (!pending_.empty() || flush_owed) ? 0 : 50;
 
     events.clear();
     if (Status s = poller_->Wait(timeout_ms, &events); !s.ok()) {
@@ -410,7 +406,7 @@ void NetServer::Loop() {
     // between poller returns), but only for ticks that had actual work —
     // idle 50ms parks must not drown the histogram in zeros.
     WallTimer tick_timer;
-    const bool worked = !events.empty() || !pending_.empty() || torn_pending;
+    const bool worked = !events.empty() || !pending_.empty() || flush_owed;
 
     for (const PollEvent& event : events) {
       if (event.fd == listen_fd_) {
@@ -438,23 +434,12 @@ void NetServer::Loop() {
       if (event.readable) HandleReadable(conn);
       // The read may have closed the connection; re-resolve before writing.
       conn = FindConn(conn_id);
-      if (conn != nullptr && event.writable) HandleWritable(conn);
+      if (conn != nullptr && event.writable) FlushConn(conn);
     }
 
     // Resume torn writes from previous ticks even without a poll event:
     // the tear is ours, not the kernel's, so the socket is likely ready.
-    std::vector<uint64_t> torn_ids;
-    for (auto& [fd, conn] : conns_) {
-      if (conn.torn && conn.out_offset < conn.outbuf.size()) {
-        torn_ids.push_back(conn.id);
-      }
-    }
-    for (const uint64_t id : torn_ids) {
-      if (Conn* conn = FindConn(id)) {
-        conn->torn = false;
-        FlushConn(conn);
-      }
-    }
+    FlushDirty();
 
     DispatchBatch();
 
@@ -1211,12 +1196,11 @@ void NetServer::FlushConn(Conn* conn) {
   size_t limit = conn->outbuf.size();
   if (!conn->is_admin && limit - conn->out_offset > 1 &&
       fault::FaultInjector::Global().ShouldInject(fault::kNetTornWrite)) {
-    // Write only half of what is due; the remainder goes out next tick,
-    // exercising every client's torn-frame tolerance.
+    // Write only half of what is due; the remainder goes out on the next
+    // FlushDirty, exercising every client's torn-frame tolerance.
     ++faults_injected_;
     torn_writes.Increment();
     limit = conn->out_offset + (limit - conn->out_offset) / 2;
-    conn->torn = true;
   }
 
   while (conn->out_offset < limit) {
@@ -1225,11 +1209,13 @@ void NetServer::FlushConn(Conn* conn) {
              limit - conn->out_offset, MSG_NOSIGNAL);
     if (n > 0) {
       bytes_written_ += static_cast<uint64_t>(n);
+      ++write_calls_;
       conn->out_offset += static_cast<size_t>(n);
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      poller_->SetWriteInterest(conn->fd, true);
+      // The socket is full: the poller says when it drains.
+      SetWriteInterest(conn, true);
       return;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -1240,17 +1226,38 @@ void NetServer::FlushConn(Conn* conn) {
   if (conn->out_offset >= conn->outbuf.size()) {
     conn->outbuf.clear();
     conn->out_offset = 0;
-    poller_->SetWriteInterest(conn->fd, false);
+    SetWriteInterest(conn, false);
     if (conn->close_after_flush) CloseConn(conn_id);
   } else {
-    // Torn write: keep write interest so the poller returns promptly.
-    poller_->SetWriteInterest(conn->fd, true);
+    // Torn write: the socket still has room, so the loop resumes it
+    // without waiting for the poller.
+    MarkDirty(conn);
   }
 }
 
-void NetServer::HandleWritable(Conn* conn) {
-  conn->torn = false;
-  FlushConn(conn);
+void NetServer::MarkDirty(Conn* conn) {
+  if (conn->dirty) return;
+  conn->dirty = true;
+  dirty_.push_back(conn->id);
+}
+
+void NetServer::FlushDirty() {
+  // A tear during this pass lists its connection again, behind `listed`,
+  // for the next pass instead of extending this one.
+  const size_t listed = dirty_.size();
+  for (size_t i = 0; i < listed; ++i) {
+    Conn* conn = FindConn(dirty_[i]);
+    if (conn == nullptr) continue;  // closed since it was listed
+    conn->dirty = false;
+    if (!conn->write_interest) FlushConn(conn);
+  }
+  dirty_.erase(dirty_.begin(), dirty_.begin() + listed);
+}
+
+void NetServer::SetWriteInterest(Conn* conn, bool on) {
+  if (conn->write_interest == on) return;
+  conn->write_interest = on;
+  poller_->SetWriteInterest(conn->fd, on);
 }
 
 }  // namespace net

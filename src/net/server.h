@@ -144,6 +144,7 @@ class NetServer {
     uint64_t faults_injected = 0;      ///< net/* fault fires
     uint64_t bytes_read = 0;
     uint64_t bytes_written = 0;
+    uint64_t write_calls = 0;          ///< send() calls that wrote bytes
     uint64_t admin_connections = 0;    ///< admin-plane accepts
     uint64_t admin_requests = 0;       ///< HTTP requests answered
   };
@@ -172,9 +173,12 @@ class NetServer {
     std::string outbuf;        ///< encoded responses awaiting write
     size_t out_offset = 0;     ///< bytes of outbuf already written
     bool close_after_flush = false;
-    /// Set while net/torn_write holds back the tail of a frame; the
-    /// remainder goes out on the next tick.
-    bool torn = false;
+    /// EPOLLOUT/POLLOUT armed in the poller: set only while a send() is
+    /// blocked on a full socket buffer, so the poller is told only when
+    /// the wanted state changes.
+    bool write_interest = false;
+    /// Listed in dirty_: the loop owes this connection a flush.
+    bool dirty = false;
     /// Admin-plane connection: bytes go through `http` instead of
     /// `decoder`, and the net/* fault injection points skip it.
     bool is_admin = false;
@@ -207,7 +211,6 @@ class NetServer {
   /// (the operator plane must stay reachable under overload).
   void HandleAdminListener();
   void HandleReadable(Conn* conn);
-  void HandleWritable(Conn* conn);
   /// Parses and answers as many HTTP requests as the admin connection's
   /// buffer holds, inline on the loop thread (admission bypass).
   void DrainHttp(Conn* conn);
@@ -226,7 +229,19 @@ class NetServer {
   /// Appends an encoded response frame to the connection's outbuf.
   void QueueResponse(Conn* conn, MsgType type, const std::string& payload);
   void QueueError(Conn* conn, const Status& status, uint64_t retry_after);
+  /// Writes as much of the outbuf as the socket takes. What is left waits
+  /// for the poller (socket full) or, after a net/torn_write tear, for the
+  /// next FlushDirty.
   void FlushConn(Conn* conn);
+  /// Lists the connection in dirty_ (once) for the next FlushDirty.
+  void MarkDirty(Conn* conn);
+  /// Flushes every connection listed in dirty_ once, skipping those whose
+  /// socket is full (the poller resumes them). Tears made during this pass
+  /// are listed again for the next one.
+  void FlushDirty();
+  /// Arms or disarms the connection's write interest, calling into the
+  /// poller only when the state changes.
+  void SetWriteInterest(Conn* conn, bool on);
   void CloseConn(uint64_t conn_id);
   Conn* FindConn(uint64_t conn_id);
 
@@ -244,6 +259,10 @@ class NetServer {
   /// Loop thread only. The accounting allocator self-charges the queue's
   /// node storage to the net/pending_queue subsystem counter.
   std::deque<Pending, obs::AccountingAllocator<Pending>> pending_;
+  /// Connections the loop owes a flush without waiting for the poller (the
+  /// remainders of net/torn_write tears), by conn id (Conn::dirty
+  /// dedupes). Loop thread only.
+  std::vector<uint64_t> dirty_;
   uint64_t next_conn_id_ = 1;
   uint64_t loop_ticks_ = 0;  ///< worked ticks; loop thread only
   /// When the loop was spawned; /healthz uptime.
@@ -272,6 +291,7 @@ class NetServer {
   std::atomic<uint64_t> faults_injected_{0};
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
+  std::atomic<uint64_t> write_calls_{0};
   std::atomic<uint64_t> admin_connections_{0};
   std::atomic<uint64_t> admin_requests_{0};
 };

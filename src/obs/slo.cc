@@ -211,10 +211,7 @@ void SloTracker::Record(const std::string& name, bool good,
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(name);
     if (it == entries_.end()) return;
-    Entry& entry = *it->second;
-    entry.fast.Record(good, now_micros);
-    entry.slow.Record(good, now_micros);
-    EvaluateEntryLocked(&entry, now_micros, &transition);
+    transition = RecordEntryLocked(it->second.get(), good, now_micros);
   }
   if (transition != 0) EmitTransition(name, transition);
 }
@@ -222,18 +219,28 @@ void SloTracker::Record(const std::string& name, bool good,
 void SloTracker::RecordLatency(const std::string& name, double seconds,
                                uint64_t now_micros) {
   if (!enabled()) return;
-  double threshold = 0.0;
+  int transition = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = entries_.find(name);
     if (it == entries_.end()) return;
-    threshold = it->second->objective.latency_threshold_seconds;
+    Entry* entry = it->second.get();
+    transition = RecordEntryLocked(
+        entry, seconds <= entry->objective.latency_threshold_seconds,
+        now_micros);
   }
-  Record(name, seconds <= threshold, now_micros);
+  if (transition != 0) EmitTransition(name, transition);
 }
 
-SloState SloTracker::EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
-                                         int* transition) {
+int SloTracker::RecordEntryLocked(Entry* entry, bool good,
+                                  uint64_t now_micros) {
+  entry->fast.Record(good, now_micros);
+  entry->slow.Record(good, now_micros);
+  return EvaluateEntryLocked(entry, now_micros, /*state=*/nullptr);
+}
+
+int SloTracker::EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
+                                    SloState* state) {
   const SlidingWindowRate::Stats fast = entry->fast.Snapshot(now_micros);
   const SlidingWindowRate::Stats slow = entry->slow.Snapshot(now_micros);
   const double target = entry->objective.target;
@@ -241,30 +248,31 @@ SloState SloTracker::EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
   const double slow_burn = BurnRate(slow, target);
   const double threshold = entry->objective.burn_alert_threshold;
   const bool should_alert = fast_burn >= threshold && slow_burn >= threshold;
-  *transition = 0;
+  int transition = 0;
   if (should_alert && !entry->alerting) {
     entry->alerting = true;
     ++entry->fired;
-    *transition = 1;
+    transition = 1;
   } else if (!should_alert && entry->alerting) {
     entry->alerting = false;
     ++entry->resolved;
-    *transition = -1;
+    transition = -1;
   }
-  SloState state;
-  state.name = entry->objective.name;
-  state.kind = entry->objective.kind;
-  state.target = target;
-  state.alerting = entry->alerting;
-  state.fast_burn = fast_burn;
-  state.slow_burn = slow_burn;
-  state.fast_good = fast.good;
-  state.fast_total = fast.total;
-  state.slow_good = slow.good;
-  state.slow_total = slow.total;
-  state.alerts_fired = entry->fired;
-  state.alerts_resolved = entry->resolved;
-  return state;
+  if (state != nullptr) {
+    state->name = entry->objective.name;
+    state->kind = entry->objective.kind;
+    state->target = target;
+    state->alerting = entry->alerting;
+    state->fast_burn = fast_burn;
+    state->slow_burn = slow_burn;
+    state->fast_good = fast.good;
+    state->fast_total = fast.total;
+    state->slow_good = slow.good;
+    state->slow_total = slow.total;
+    state->alerts_fired = entry->fired;
+    state->alerts_resolved = entry->resolved;
+  }
+  return transition;
 }
 
 void SloTracker::EmitTransition(const std::string& name, int transition) {
@@ -286,9 +294,8 @@ std::vector<SloState> SloTracker::Evaluate(uint64_t now_micros) {
     std::lock_guard<std::mutex> lock(mu_);
     states.reserve(entries_.size());
     for (auto& [name, entry] : entries_) {
-      int transition = 0;
-      states.push_back(EvaluateEntryLocked(entry.get(), now_micros,
-                                           &transition));
+      const int transition =
+          EvaluateEntryLocked(entry.get(), now_micros, &states.emplace_back());
       if (transition != 0) transitions.emplace_back(name, transition);
     }
   }

@@ -156,11 +156,16 @@ class SloTracker {
     uint64_t resolved = 0;
   };
 
-  /// Evaluates `entry` at `now_micros` and flips its alert state;
-  /// returns the state. Caller holds mu_; log/trace/counter emission for
-  /// any transition happens after the lock is released (via *transition).
-  SloState EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
-                               int* transition);
+  /// Evaluates `entry` at `now_micros`, flips its alert state and fills
+  /// `*state` when non-null; returns the transition (+1 fired, -1
+  /// resolved, 0 none). Caller holds mu_; log/trace/counter emission for
+  /// any transition happens after the lock is released.
+  int EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
+                          SloState* state);
+
+  /// Records one event into `entry`'s windows and evaluates it (no
+  /// SloState is built); returns the transition like EvaluateEntryLocked.
+  int RecordEntryLocked(Entry* entry, bool good, uint64_t now_micros);
 
   void EmitTransition(const std::string& name, int transition);
 

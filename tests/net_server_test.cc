@@ -7,7 +7,10 @@
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -459,6 +462,25 @@ TEST(NetServerTest, NetFaultsNeverWeakenAnonymity) {
   const int k = 10;
   std::atomic<int> verify_failures{0};
   std::atomic<int> served{0};
+  // Availability may suffer under faults: only a serve response that
+  // arrives is checked.
+  const auto verify = [&](const Result<Frame>& frame,
+                          const ServiceRequest& sr) {
+    if (!frame.ok() || frame->type != MsgType::kServeResponse) return;
+    Result<ServeResponseMsg> msg = DecodeServeResponse(frame->payload);
+    if (!msg.ok()) {
+      verify_failures.fetch_add(1);
+      return;
+    }
+    const Rect cloak{msg->cloak_x1, msg->cloak_y1, msg->cloak_x2,
+                     msg->cloak_y2};
+    if (msg->group_size < static_cast<uint64_t>(k) ||
+        !cloak.Contains(sr.location)) {
+      verify_failures.fetch_add(1);
+    } else {
+      served.fetch_add(1);
+    }
+  };
   std::vector<std::thread> clients;
   for (size_t c = 0; c < 4; ++c) {
     clients.emplace_back([&, c] {
@@ -468,34 +490,253 @@ TEST(NetServerTest, NetFaultsNeverWeakenAnonymity) {
         if (!client.ok()) continue;
         const auto& row = fx.db.row((c * 40 + i) % fx.db.size());
         const ServiceRequest sr{row.user, row.location, {{"poi", "rest"}}};
-        Result<Frame> frame = client->Call(
-            MsgType::kServeRequest, EncodeServiceRequest(sr), 10.0);
-        if (!frame.ok() || frame->type != MsgType::kServeResponse) {
-          continue;  // availability may suffer under faults
+        verify(client->Call(MsgType::kServeRequest, EncodeServiceRequest(sr),
+                            10.0),
+               sr);
+      }
+      // Pipelined bursts: several frames per server buffer, so torn writes
+      // and drops hit multi-frame flushes. The i-th frame answers the i-th
+      // request of its burst until the connection dies.
+      for (int burst = 0; burst < 10; ++burst) {
+        Result<NetClient> client = NetClient::Connect(port, 10.0);
+        if (!client.ok()) continue;
+        std::vector<ServiceRequest> requests;
+        std::string bytes;
+        for (int i = 0; i < 8; ++i) {
+          const auto& row = fx.db.row((c * 97 + burst * 8 + i) % fx.db.size());
+          requests.push_back({row.user, row.location, {{"poi", "rest"}}});
+          bytes += EncodeFrame(MsgType::kServeRequest,
+                               EncodeServiceRequest(requests.back()));
         }
-        Result<ServeResponseMsg> msg = DecodeServeResponse(frame->payload);
-        if (!msg.ok()) {
-          verify_failures.fetch_add(1);
+        if (::send(client->fd(), bytes.data(), bytes.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(bytes.size())) {
           continue;
         }
-        const Rect cloak{msg->cloak_x1, msg->cloak_y1, msg->cloak_x2,
-                         msg->cloak_y2};
-        if (msg->group_size < static_cast<uint64_t>(k) ||
-            !cloak.Contains(sr.location)) {
-          verify_failures.fetch_add(1);
-        } else {
-          served.fetch_add(1);
+        for (const ServiceRequest& sr : requests) {
+          Result<Frame> frame = client->ReadFrame(10.0);
+          if (!frame.ok()) break;  // dropped: the rest never arrives
+          verify(frame, sr);
         }
       }
     });
   }
   for (std::thread& t : clients) t.join();
+  // Stopped before the fault counts are read, so no fire lands in between.
+  fx.server->Stop();
+  const fault::FaultInjector& injector = fault::FaultInjector::Global();
+  const uint64_t fires = injector.fires(fault::kNetSlowRead) +
+                         injector.fires(fault::kNetTornWrite) +
+                         injector.fires(fault::kNetConnDrop);
   fault::FaultInjector::Global().Disarm();
 
   EXPECT_EQ(verify_failures.load(), 0);
   EXPECT_GT(served.load(), 0);  // the server still makes progress
   EXPECT_GT(fx.server->stats().faults_injected, 0u);
+  EXPECT_EQ(fx.server->stats().faults_injected, fires);
   EXPECT_TRUE(AuditPolicyAware(fx.csp->policy()).Anonymous(k));
+}
+
+// ---------------------------------------------------------------------------
+// Write path: responses keep request order, and write interest is armed
+// only while a send is blocked. Each case runs on the epoll and on the poll
+// backend.
+
+class NetServerWritePathTest : public ::testing::TestWithParam<bool> {
+ protected:
+  static NetServerOptions Backend() {
+    NetServerOptions options;
+    options.use_poll = GetParam();
+    return options;
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(Backends, NetServerWritePathTest,
+                         ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Poll" : "Epoll";
+                         });
+
+TEST_P(NetServerWritePathTest, PipelinedBurstKeepsRequestOrder) {
+  Fixture fx(/*k=*/10, Backend());
+  Result<NetClient> client = NetClient::Connect(fx.server->port());
+  ASSERT_TRUE(client.ok());
+  const int kBurst = 64;
+  std::vector<ServiceRequest> requests;
+  std::string bytes;
+  for (int i = 0; i < kBurst; ++i) {
+    const auto& row = fx.db.row((i * 7) % fx.db.size());
+    requests.push_back({row.user, row.location, {{"poi", "rest"}}});
+    bytes += EncodeFrame(MsgType::kServeRequest,
+                         EncodeServiceRequest(requests.back()));
+  }
+  ASSERT_EQ(::send(client->fd(), bytes.data(), bytes.size(), 0),
+            static_cast<ssize_t>(bytes.size()));
+
+  int64_t last_rid = 0;
+  for (const ServiceRequest& sr : requests) {
+    Result<Frame> frame = client->ReadFrame(10.0);
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    ASSERT_EQ(frame->type, MsgType::kServeResponse);
+    Result<ServeResponseMsg> msg = DecodeServeResponse(frame->payload);
+    ASSERT_TRUE(msg.ok());
+    EXPECT_GT(msg->rid, last_rid) << "responses must keep request order";
+    last_rid = msg->rid;
+    const Rect cloak{msg->cloak_x1, msg->cloak_y1, msg->cloak_x2,
+                     msg->cloak_y2};
+    EXPECT_GE(msg->group_size, 10u);
+    EXPECT_TRUE(cloak.Contains(sr.location));
+  }
+  EXPECT_GT(fx.server->stats().write_calls, 0u);
+  fx.server->Stop();
+}
+
+// net/torn_write on every flush: each flush writes half of what is owed.
+// The loop must finish the response on its own, without waiting for a poll
+// event or for another request on the connection.
+TEST_P(NetServerWritePathTest, TornRemaindersGoOutWithoutAnotherRequest) {
+  Fixture fx(/*k=*/10, Backend());
+  struct Disarm {
+    ~Disarm() { fault::FaultInjector::Global().Disarm(); }
+  } disarm;
+  fault::FaultPlan plan;
+  plan.points = {fault::FaultPointConfig{std::string(fault::kNetTornWrite)}};
+  fault::FaultInjector::Global().Arm(plan, 7);
+
+  Result<NetClient> client = NetClient::Connect(fx.server->port());
+  ASSERT_TRUE(client.ok());
+  for (int i = 0; i < 3; ++i) {
+    const auto& row = fx.db.row(i);
+    const ServiceRequest sr{row.user, row.location, {{"poi", "rest"}}};
+    Result<Frame> frame = client->Call(MsgType::kServeRequest,
+                                       EncodeServiceRequest(sr), 5.0);
+    ASSERT_TRUE(frame.ok()) << "request " << i << ": "
+                            << frame.status().ToString();
+    ASSERT_EQ(frame->type, MsgType::kServeResponse);
+    Result<ServeResponseMsg> msg = DecodeServeResponse(frame->payload);
+    ASSERT_TRUE(msg.ok());
+    EXPECT_GE(msg->group_size, 10u);
+  }
+  EXPECT_GE(fault::FaultInjector::Global().fires(fault::kNetTornWrite), 3u);
+  fx.server->Stop();
+}
+
+// Closes the socket when a test returns, also on a failed ASSERT, so the
+// server's drain is never left waiting on a peer that stopped reading.
+struct ScopedFd {
+  ~ScopedFd() {
+    if (fd >= 0) ::close(fd);
+  }
+  int fd = -1;
+};
+
+// A blocking loopback connection whose receive buffer is set before
+// connect(), so it advertises a small window from the first segment, and
+// whose reads give up after `timeout_seconds`. Returns -1 on failure.
+int ConnectWithReceiveBuffer(uint16_t port, int rcvbuf,
+                             int timeout_seconds) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const timeval timeout{timeout_seconds, 0};
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)) != 0 ||
+      setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& bytes) {
+  for (size_t sent = 0; sent < bytes.size();) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent, 0);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Blocks until `decoder` yields a frame, reading more from `fd` as needed.
+Result<Frame> ReadFrameFrom(int fd, FrameDecoder* decoder) {
+  char buf[16 * 1024];
+  while (true) {
+    Frame frame;
+    Status error;
+    switch (decoder->Next(&frame, &error)) {
+      case FrameDecoder::Poll::kFrame:
+        return frame;
+      case FrameDecoder::Poll::kError:
+        return error;
+      case FrameDecoder::Poll::kNeedMore:
+        break;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) return Status::Unavailable("no frame before the timeout");
+    decoder->Feed(buf, static_cast<size_t>(n));
+  }
+}
+
+TEST_P(NetServerWritePathTest, WriteInterestIsReleasedAfterTheSocketDrains) {
+  Fixture fx(/*k=*/10, Backend());
+  const ScopedFd conn{ConnectWithReceiveBuffer(
+      fx.server->port(), /*rcvbuf=*/4096, /*timeout_seconds=*/10)};
+  const int fd = conn.fd;
+  ASSERT_GE(fd, 0);
+  FrameDecoder decoder;
+  const auto& row = fx.db.row(0);
+  const std::string request = EncodeFrame(
+      MsgType::kServeRequest,
+      EncodeServiceRequest({row.user, row.location, {{"poi", "rest"}}}));
+  // Every response to this request has the same size (fixed-width fields,
+  // same cloak and POIs).
+  ASSERT_TRUE(SendAll(fd, request));
+  Result<Frame> first = ReadFrameFrom(fd, &decoder);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_EQ(first->type, MsgType::kServeResponse);
+  const uint64_t response_bytes = kFrameHeaderBytes + first->payload.size();
+
+  // Pipeline bursts without reading until the server holds responses it
+  // cannot write: its socket is full and its write interest armed.
+  std::string burst;
+  for (int i = 0; i < 256; ++i) burst += request;
+  uint64_t requests = 1;
+  bool blocked = false;
+  while (!blocked && requests < 64 * 1024) {
+    ASSERT_TRUE(SendAll(fd, burst));
+    requests += 256;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (fx.server->stats().requests_served < requests &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(fx.server->stats().requests_served, requests);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    blocked = fx.server->stats().bytes_written < requests * response_bytes;
+  }
+  ASSERT_TRUE(blocked) << "the server's socket never filled";
+
+  for (uint64_t i = 1; i < requests; ++i) {
+    Result<Frame> frame = ReadFrameFrom(fd, &decoder);
+    ASSERT_TRUE(frame.ok()) << "response " << i << ": "
+                            << frame.status().ToString();
+    ASSERT_EQ(frame->type, MsgType::kServeResponse);
+    ASSERT_TRUE(DecodeServeResponse(frame->payload).ok());
+  }
+  EXPECT_EQ(fx.server->stats().bytes_written, requests * response_bytes);
+
+  // Idle with the connection open: a write interest left armed would wake
+  // the loop on every poll and count a worked tick each time.
+  const obs::Histogram& lag =
+      obs::MetricsRegistry::Global().GetHistogram("net/loop_lag_seconds");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t ticks_before = lag.count();
+  std::this_thread::sleep_for(std::chrono::milliseconds(250));
+  EXPECT_LE(lag.count() - ticks_before, 5u);
   fx.server->Stop();
 }
 

@@ -142,6 +142,18 @@ TEST_F(SloTest, RecordLatencyAppliesTheThreshold) {
   EXPECT_EQ(state.fast_total, 3u);
 }
 
+TEST_F(SloTest, RecordLatencyOnAnUnknownObjectiveIsANoOp) {
+  SloTracker& tracker = SloTracker::Global();
+  SloObjective o = TestObjective("slo_test/known", 0.5, 1e12);
+  o.kind = SloObjective::Kind::kLatency;
+  o.latency_threshold_seconds = 0.005;
+  tracker.Configure({o});
+  tracker.RecordLatency("slo_test/never_configured", 0.050, 0);
+  const std::vector<SloState> states = tracker.Evaluate(0);
+  ASSERT_EQ(states.size(), 1u) << "an unknown name must not create an entry";
+  EXPECT_EQ(StateOf(states, "slo_test/known").fast_total, 0u);
+}
+
 TEST_F(SloTest, DisabledTrackerIgnoresRecords) {
   SloTracker& tracker = SloTracker::Global();
   tracker.Configure({TestObjective("slo_test/off", 0.9, 14.0)});

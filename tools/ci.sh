@@ -225,10 +225,6 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
       --baseline bench/baseline/BENCH_net.json \
       --candidate "${prefix}-release/BENCH_net.json" \
       --threshold 1.0 --noise-sigma 3.0
-  # The in-process variant of the same measurement (no separate processes),
-  # for quick local iteration; also exercises the harness itself.
-  PASA_BENCH_SCALE="${overhead_scale}" \
-      "${prefix}-release/bench/bench_net_throughput"
 
   step "traced net leg: wire trace context, /trace, trace-merge, exemplars"
   # A dedicated small run with tracing armed on both sides of the socket:
