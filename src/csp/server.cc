@@ -7,10 +7,10 @@
 #include "fault/injector.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
+#include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
 #include "obs/trace_sink.h"
-#include "obs/window.h"
 
 namespace pasa {
 namespace {
@@ -72,109 +72,20 @@ Result<CspServer> CspServer::Start(LocationDatabase initial_snapshot,
 
 Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
                                            ServeReceipt* receipt) {
-  static obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
-      "csp/handle_request_seconds");
+  // Under the network front end this scope resolves to the front end's
+  // record, and the front end finishes the request; in process, this is
+  // the outermost entry point and its scope finishes the request on return.
   obs::ScopedProvenanceRecord prov;
-  WallTimer timer;
-  ServeDecision decision;
-  // When a caller (the network front end) already opened the per-request
-  // provenance scope, `prov` is inert and the outer record is the one to
-  // annotate — CurrentProvenance() resolves both cases.
-  Result<LbsAnswer> answer =
-      ServeRequest(sr, obs::CurrentProvenance(), &decision);
-  if (receipt != nullptr && answer.ok()) {
-    receipt->rid = decision.rid;
-    receipt->group_size = decision.group_size;
-    receipt->cloak = decision.cloak;
-    receipt->degraded = decision.degraded;
-  }
-  const double seconds = timer.ElapsedSeconds();
-  latency.Observe(seconds);
-  const bool windows_on = obs::WindowRegistry::Global().enabled();
-  const bool slos_on = obs::SloTracker::Global().enabled();
-  if (windows_on || slos_on) {
-    const uint64_t now = obs::SimClock::Global().Advance(
-        static_cast<uint64_t>(seconds * 1e6) + 1);
-    if (windows_on) {
-      static obs::SlidingWindowHistogram& window_latency =
-          obs::WindowRegistry::Global().GetHistogram(
-              "csp/window/serve_latency_seconds");
-      window_latency.Observe(seconds, now);
-      if (!decision.rejected) {
-        static obs::SlidingWindowRate& degraded_rate =
-            obs::WindowRegistry::Global().GetRate("csp/window/degraded_rate");
-        degraded_rate.Record(decision.degraded, now);
-      }
-    }
-    if (slos_on && !decision.rejected) {
-      // Client errors don't burn serving SLOs; everything accepted does.
-      obs::SloTracker& slo = obs::SloTracker::Global();
-      slo.Record(obs::kSloAvailability, answer.ok(), now);
-      slo.RecordLatency(obs::kSloServeLatency, seconds, now);
-      slo.Record(obs::kSloAnonymity,
-                 decision.group_size >= static_cast<uint64_t>(options_.k),
-                 now);
-    }
-  }
-  return answer;
-}
-
-Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
-                                                  ServeDecision* decision) {
-  const Result<size_t> row = ValidSenderRow(sr, snapshot_);
-  // An empty assignment means a failed advance dropped the policy: no
-  // request is valid until the next advance extracts one again.
-  if (!row.ok() || *row >= policy_.assignment.size()) {
-    decision->rejected = true;
-    ++stats_.requests_rejected;
-    rejected_counter_.Increment();
-    obs::LogDebug("csp", "rejected request from user %lld (stale or unknown)",
-                  static_cast<long long>(sr.sender));
-    return Status::InvalidArgument(
-        "service request is not valid w.r.t. the current snapshot");
-  }
-  decision->node = policy_.assignment[*row];
-  decision->group_size = policy_.group_sizes[decision->node];
-  decision->rid = next_rid_++;
-  decision->cloak = engine_->tree().node(decision->node).region;
-  return AnonymizedRequest{decision->rid, decision->cloak, sr.params};
-}
-
-Result<LbsAnswer> CspServer::ServeRequest(const ServiceRequest& sr,
-                                          obs::ProvenanceRecord* p,
-                                          ServeDecision* decision) {
+  obs::ProvenanceRecord& record = prov.record();
   obs::ScopedSpan span("csp/handle_request", obs::ScopedSpan::kRoot);
-  WallTimer cloak_timer;
-  const Result<AnonymizedRequest> ar = CloakRequest(sr, decision);
-  if (p != nullptr) {
-    p->sender = sr.sender;
-    p->k = options_.k;
-  }
-  if (!ar.ok()) {
-    if (p != nullptr) {
-      p->outcome = obs::RequestOutcome::kRejected;
-      p->status = StatusCodeName(ar.status().code());
-      p->cloak_seconds = cloak_timer.ElapsedSeconds();
-    }
-    return ar.status();
-  }
-  if (p != nullptr) {
-    const int32_t node = decision->node;
-    const BinaryTree& tree = engine_->tree();
-    p->rid = ar->rid;
-    p->cloak_x1 = ar->cloak.x1;
-    p->cloak_y1 = ar->cloak.y1;
-    p->cloak_x2 = ar->cloak.x2;
-    p->cloak_y2 = ar->cloak.y2;
-    p->cloak_area = ar->cloak.Area();
-    p->policy_node = node;
-    p->tree_path = tree.PathString(node);
-    p->node_depth = tree.node(node).depth;
-    p->group_size = decision->group_size;
-    p->passed_up = policy_.config.C(node);
-    p->cloak_seconds = cloak_timer.ElapsedSeconds();
-  }
+  obs::ProvenanceRecord* p = obs::CurrentProvenance();
+  WallTimer timer;
+  int32_t node = -1;
+  const Result<AnonymizedRequest> ar = CloakRequest(sr, &node);
+  record.cloak_seconds = timer.ElapsedSeconds();
+  if (!ar.ok()) return ar.status();
   Result<LbsAnswer> answer = frontend_->Serve(*ar);
+  record.lbs_seconds = timer.ElapsedSeconds() - record.cloak_seconds;
   if (!answer.ok()) {
     // Provider down and no cached fallback: the request is lost, but the
     // anonymization guarantee was never at stake — only the LBS hop failed.
@@ -189,22 +100,59 @@ Result<LbsAnswer> CspServer::ServeRequest(const ServiceRequest& sr,
   ++stats_.requests_served;
   served_counter_.Increment();
   if (answer->degraded) {
-    decision->degraded = true;
     ++stats_.requests_degraded;
     degraded_counter_.Increment();
+    if (p != nullptr) p->outcome = obs::RequestOutcome::kDegraded;
   }
-  if (p != nullptr) {
-    p->outcome = answer->degraded ? obs::RequestOutcome::kDegraded
-                                  : obs::RequestOutcome::kServed;
+  if (receipt != nullptr) {
+    receipt->rid = ar->rid;
+    receipt->group_size = policy_.group_sizes[node];
+    receipt->cloak = ar->cloak;
+    receipt->degraded = answer->degraded;
   }
   return answer;
 }
 
+Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
+                                                  int32_t* node) {
+  obs::ProvenanceRecord* p = obs::CurrentProvenance();
+  const Result<size_t> row = ValidSenderRow(sr, snapshot_);
+  // An empty assignment means a failed advance dropped the policy: no
+  // request is valid until the next advance extracts one again.
+  if (!row.ok() || *row >= policy_.assignment.size()) {
+    ++stats_.requests_rejected;
+    rejected_counter_.Increment();
+    obs::LogDebug("csp", "rejected request from user %lld (stale or unknown)",
+                  static_cast<long long>(sr.sender));
+    const Status rejected = Status::InvalidArgument(
+        "service request is not valid w.r.t. the current snapshot");
+    if (p != nullptr) {
+      p->sender = sr.sender;
+      p->k = options_.k;
+      p->outcome = obs::RequestOutcome::kRejected;
+      p->status = StatusCodeName(rejected.code());
+    }
+    return rejected;
+  }
+  *node = policy_.assignment[*row];
+  const RequestId rid = next_rid_++;
+  if (p != nullptr) {
+    AnnotateCloakDecision(engine_->tree(), policy_, options_.k, *node, rid,
+                          sr.sender, p);
+    // Cloaked; HandleRequest overrides this with how the LBS hop went.
+    p->outcome = obs::RequestOutcome::kServed;
+  }
+  return AnonymizedRequest{rid, engine_->tree().node(*node).region,
+                           sr.params};
+}
+
 Result<AnonymizedRequest> CspServer::Cloak(const ServiceRequest& sr,
                                            uint64_t* group_size) {
-  ServeDecision decision;
-  Result<AnonymizedRequest> ar = CloakRequest(sr, &decision);
-  if (ar.ok() && group_size != nullptr) *group_size = decision.group_size;
+  int32_t node = -1;
+  Result<AnonymizedRequest> ar = CloakRequest(sr, &node);
+  if (ar.ok() && group_size != nullptr) {
+    *group_size = policy_.group_sizes[node];
+  }
   return ar;
 }
 

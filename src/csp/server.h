@@ -10,7 +10,6 @@
 #include "model/service_request.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
-#include "obs/provenance.h"
 #include "pasa/incremental.h"
 
 namespace pasa {
@@ -176,33 +175,17 @@ class CspServer {
   void ReportMemory(obs::MemoryAccountant& accountant) const;
 
  private:
-  /// How one request through ServeRequest went, for the windowed telemetry
-  /// and SLO records the outer HandleRequest emits.
-  struct ServeDecision {
-    bool rejected = false;
-    bool degraded = false;
-    uint64_t group_size = 0;
-    RequestId rid = 0;
-    Rect cloak;
-    int32_t node = -1;  ///< cloaking tree node
-  };
-
   CspServer(CspOptions options, MapExtent extent,
             LocationDatabase snapshot, IncrementalAnonymizer engine,
             ExtractedPolicy policy, PoiDatabase pois);
 
   /// Validates `sr` against the snapshot and cloaks it under the current
-  /// policy, filling `decision`'s rid, cloak, node and group size. An
-  /// invalid request is counted as rejected and fails with
-  /// InvalidArgument. Shared by ServeRequest and Cloak.
+  /// policy, setting `*node` to the cloaking tree node. An invalid request
+  /// is counted as rejected and fails with InvalidArgument. Annotates the
+  /// armed provenance record with the decision, or the rejection. Shared by
+  /// HandleRequest and Cloak.
   Result<AnonymizedRequest> CloakRequest(const ServiceRequest& sr,
-                                         ServeDecision* decision);
-
-  /// The validate + cloak + LBS-hop core of HandleRequest; annotates the
-  /// provenance record (null when disarmed) and fills `decision`.
-  Result<LbsAnswer> ServeRequest(const ServiceRequest& sr,
-                                 obs::ProvenanceRecord* p,
-                                 ServeDecision* decision);
+                                         int32_t* node);
 
   Status RefreshPolicy();
   /// From-scratch rebuild of the engine on the current snapshot.

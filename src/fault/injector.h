@@ -28,7 +28,7 @@ struct FaultDecision {
 /// Decide. When no plan is armed — the production configuration — every
 /// consultation is one relaxed atomic load plus a predictable branch, the
 /// same kill-switch discipline as `obs::Enabled()` (verified by
-/// bench_fault_overhead). When a plan is armed, each configured point draws
+/// bench_overhead). When a plan is armed, each configured point draws
 /// from its own SplitMix64 stream seeded from (plan seed, point name), so a
 /// given seed replays the identical fault schedule on every run and
 /// platform, independent of which other points are being evaluated.

@@ -1,6 +1,5 @@
 #include "lbs/provider.h"
 
-#include "common/timer.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
@@ -11,13 +10,12 @@
 namespace pasa {
 namespace {
 
-/// Feeds the windowed cache-hit rate (armed runs only). The clock is not
-/// advanced here; the serving path advances it once per request.
+/// Feeds the windowed cache-hit rate (armed runs only).
 void RecordCacheHitWindow(bool hit) {
   if (!obs::WindowRegistry::Global().enabled()) return;
   static obs::SlidingWindowRate& rate =
       obs::WindowRegistry::Global().GetRate("lbs/window/cache_hit_rate");
-  rate.Record(hit, obs::SimClock::Global().now());
+  rate.Record(hit, obs::NowMicros());
 }
 
 }  // namespace
@@ -52,14 +50,10 @@ Result<LbsAnswer> CachingLbsFrontend::Serve(const AnonymizedRequest& ar) {
   obs::ScopedSpan serve_span("lbs/serve", obs::ScopedSpan::kRoot);
   obs::ScopedHistogramTimer timer(latency);
   obs::ProvenanceRecord* p = obs::CurrentProvenance();
-  WallTimer lbs_timer;
   if (const std::vector<PointOfInterest>* cached = cache_.Lookup(ar)) {
     hits.Increment();
     RecordCacheHitWindow(true);
-    if (p != nullptr) {
-      p->cache_hit = true;
-      p->lbs_seconds = lbs_timer.ElapsedSeconds();
-    }
+    if (p != nullptr) p->cache_hit = true;
     return LbsAnswer{*cached, /*degraded=*/false};
   }
   RecordCacheHitWindow(false);
@@ -70,7 +64,6 @@ Result<LbsAnswer> CachingLbsFrontend::Serve(const AnonymizedRequest& ar) {
   }();
   if (fetched.ok()) {
     misses.Increment();
-    if (p != nullptr) p->lbs_seconds = lbs_timer.ElapsedSeconds();
     return LbsAnswer{cache_.Put(ar, std::move(*fetched)), /*degraded=*/false};
   }
   if (const std::vector<PointOfInterest>* stale =
@@ -80,15 +73,11 @@ Result<LbsAnswer> CachingLbsFrontend::Serve(const AnonymizedRequest& ar) {
     obs::TraceInstant("lbs/stale_serve");
     obs::LogDebug("lbs", "provider unreachable (%s); serving stale answer",
                   fetched.status().ToString().c_str());
-    if (p != nullptr) {
-      p->stale_fallback = true;
-      p->lbs_seconds = lbs_timer.ElapsedSeconds();
-    }
+    if (p != nullptr) p->stale_fallback = true;
     return LbsAnswer{*stale, /*degraded=*/true};
   }
   misses.Increment();
   unserved.Increment();
-  if (p != nullptr) p->lbs_seconds = lbs_timer.ElapsedSeconds();
   return fetched.status();
 }
 

@@ -6,24 +6,15 @@
 #include "obs/log.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
-#include "obs/slo.h"
 #include "obs/trace_sink.h"
-#include "obs/window.h"
 
 namespace pasa {
 namespace {
 
 /// Books the simulated micros one Fetch consumed (injected latency +
-/// backoff): onto the provenance record, and onto the SimClock so windowed
-/// telemetry sees provider slowness as elapsed time (wall time covers only
-/// in-process work; see SimClock).
+/// backoff) onto the provenance record.
 void FinishSimulated(obs::ProvenanceRecord* p, double micros) {
-  if (micros <= 0.0) return;
-  if (p != nullptr) p->lbs_simulated_micros += micros;
-  if (obs::WindowRegistry::Global().enabled() ||
-      obs::SloTracker::Global().enabled()) {
-    obs::SimClock::Global().Advance(static_cast<uint64_t>(micros));
-  }
+  if (micros > 0.0 && p != nullptr) p->lbs_simulated_micros += micros;
 }
 
 }  // namespace

@@ -284,7 +284,7 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
   }
 
   obs::SloTracker::Global().EnsureObjective(
-      {.name = kSloNetServeLatency,
+      {.name = obs::kSloNetServeLatency,
        .kind = obs::SloObjective::Kind::kLatency,
        .target = 0.99,
        .latency_threshold_seconds = 0.010});
@@ -481,9 +481,7 @@ void NetServer::RecordLoopTick(double busy_seconds) {
   const bool windows_on = obs::WindowRegistry::Global().enabled();
   const bool slos_on = obs::SloTracker::Global().enabled();
   if (!windows_on && !slos_on) return;
-  // Dispatch advances the SimClock per request; the tick record reads the
-  // same timeline so windowed loop lag and serve latency stay comparable.
-  const uint64_t now = obs::SimClock::Global().now();
+  const uint64_t now = obs::NowMicros();
   if (windows_on) {
     static obs::SlidingWindowHistogram& lag_window =
         obs::WindowRegistry::Global().GetHistogram(
@@ -944,8 +942,6 @@ void NetServer::FailPendingUnavailable() {
 }
 
 void NetServer::Dispatch(const Pending& pending) {
-  static obs::Histogram& latency = obs::MetricsRegistry::Global().GetHistogram(
-      "net/serve_latency_seconds");
   static obs::Counter& served =
       obs::MetricsRegistry::Global().GetCounter("net/requests_served");
   Conn* conn = FindConn(pending.conn_id);
@@ -955,15 +951,6 @@ void NetServer::Dispatch(const Pending& pending) {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     pending.enqueued)
           .count();
-  static obs::Histogram& queue_wait =
-      obs::MetricsRegistry::Global().GetHistogram("net/queue_wait_seconds");
-  queue_wait.Observe(queue_seconds);
-  if (obs::WindowRegistry::Global().enabled()) {
-    static obs::SlidingWindowHistogram& queue_window =
-        obs::WindowRegistry::Global().GetHistogram(
-            "net/window/queue_wait_seconds");
-    queue_window.Observe(queue_seconds, obs::SimClock::Global().now());
-  }
 
   // Distributed tracing: adopt the frame's wire context when the client
   // sent one, otherwise originate a trace locally while a trace consumer
@@ -988,25 +975,22 @@ void NetServer::Dispatch(const Pending& pending) {
     if (tail_ring.enabled()) collector_scope.emplace(&collector);
   }
 
-  // The provenance scope spans decode -> serve -> encode; CspServer's
-  // nested scope is inert and annotates this record via
-  // CurrentProvenance().
-  obs::ScopedProvenanceRecord prov;
-  if (obs::ProvenanceRecord* p = prov.get()) {
-    p->net_decode_seconds = pending.decode_seconds;
-    p->net_queue_seconds = queue_seconds;
-    p->trace_id = ctx.trace_id;
+  // A serve or anonymize request carries one record from here to
+  // FinishRequest, which derives its histograms, windows, SLO records,
+  // tail-trace offer and audit line. CspServer's nested scope annotates
+  // this record. A snapshot advance is not a request and opens none.
+  std::optional<obs::ScopedProvenanceRecord> prov;
+  if (pending.frame.type != MsgType::kSnapshotAdvance) {
+    prov.emplace();
+    obs::ProvenanceRecord& record = prov->record();
+    record.net_decode_seconds = pending.decode_seconds;
+    record.net_queue_seconds = queue_seconds;
+    record.trace_id = ctx.trace_id;
   }
-  WallTimer serve_timer;
 
   std::string payload;
   MsgType response_type = MsgType::kError;
   Status failure;
-  int64_t rid = 0;
-  bool degraded = false;
-  double serve_seconds = 0.0;
-  double encode_seconds = 0.0;
-
   {
     // The server-side request span: everything below nests under it (the
     // cloak span in CspServer, the LBS span in the frontend), and its close
@@ -1039,8 +1023,6 @@ void NetServer::Dispatch(const Pending& pending) {
         msg.cloak_x2 = receipt.cloak.x2;
         msg.cloak_y2 = receipt.cloak.y2;
         msg.pois = answer->pois;
-        rid = receipt.rid;
-        degraded = answer->degraded;
         response_type = MsgType::kServeResponse;
         payload = EncodeServeResponse(msg);
         break;
@@ -1065,7 +1047,6 @@ void NetServer::Dispatch(const Pending& pending) {
         msg.cloak_y1 = ar->cloak.y1;
         msg.cloak_x2 = ar->cloak.x2;
         msg.cloak_y2 = ar->cloak.y2;
-        rid = ar->rid;
         response_type = MsgType::kAnonymizeResponse;
         payload = EncodeAnonymizeResponse(msg);
         break;
@@ -1098,64 +1079,30 @@ void NetServer::Dispatch(const Pending& pending) {
         break;
     }
 
-    serve_seconds = serve_timer.ElapsedSeconds();
     WallTimer encode_timer;
     if (failure.ok()) {
       QueueResponse(conn, response_type, payload);
     } else {
       QueueError(conn, failure, 0);
     }
-    encode_seconds = encode_timer.ElapsedSeconds();
+    if (prov.has_value()) {
+      obs::ProvenanceRecord& record = prov->record();
+      record.net_encode_seconds = encode_timer.ElapsedSeconds();
+      // The CSP records the outcome of what it handled; a frame that
+      // failed without a status on its record (undecodable payload,
+      // unroutable type) is classed here.
+      if (!failure.ok() && record.status == "OK") {
+        record.status = StatusCodeName(failure.code());
+        if (failure.code() != StatusCode::kInvalidArgument &&
+            failure.code() != StatusCode::kNotFound) {
+          record.outcome = obs::RequestOutcome::kFailed;
+        }
+      }
+    }
   }
-  if (obs::ProvenanceRecord* p = prov.get()) {
-    p->net_encode_seconds = encode_seconds;
-  }
+  if (prov.has_value()) prov->Finish(std::move(collector.spans));
   ++requests_served_;
   served.Increment();
-
-  // The latency a remote client experiences: queued + served + encoded
-  // (decode happened before enqueue and is carried separately). A traced
-  // request also offers itself as its latency bucket's exemplar.
-  const double total =
-      pending.decode_seconds + queue_seconds + serve_seconds + encode_seconds;
-  latency.Observe(total, ctx.trace_id);
-
-  if (ctx.valid() && tail_ring.enabled()) {
-    obs::TailTrace trace;
-    trace.trace_id = ctx.trace_id;
-    trace.rid = rid;
-    trace.outcome = "served";
-    if (!failure.ok()) {
-      const bool client_error = failure.code() == StatusCode::kInvalidArgument ||
-                                failure.code() == StatusCode::kNotFound;
-      trace.outcome = client_error ? "rejected" : "failed";
-    } else if (degraded) {
-      trace.outcome = "degraded";
-    }
-    trace.total_seconds = total;
-    trace.spans = std::move(collector.spans);
-    tail_ring.Offer(std::move(trace));
-  }
-  const bool windows_on = obs::WindowRegistry::Global().enabled();
-  const bool slos_on = obs::SloTracker::Global().enabled();
-  if (windows_on || slos_on) {
-    // CspServer already advanced the clock by its own serve time; add only
-    // the net-layer overhead so the timeline keeps moving under pure
-    // net-layer load too.
-    const uint64_t now = obs::SimClock::Global().Advance(
-        static_cast<uint64_t>((total - serve_seconds) * 1e6) + 1);
-    if (windows_on) {
-      static obs::SlidingWindowHistogram& window_latency =
-          obs::WindowRegistry::Global().GetHistogram(
-              "net/window/serve_latency_seconds");
-      window_latency.Observe(total, now);
-    }
-    if (slos_on) {
-      obs::SloTracker::Global().RecordLatency(kSloNetServeLatency, total,
-                                              now);
-    }
-  }
-
   FlushConn(conn);
 }
 

@@ -21,10 +21,6 @@
 namespace pasa {
 namespace net {
 
-/// Well-known objective name for the socket serving path (decode + queue +
-/// serve + encode, the latency a remote client actually experiences).
-inline constexpr char kSloNetServeLatency[] = "net/serve_latency";
-
 /// Well-known objective name for event-loop saturation: the busy time of
 /// each worked loop iteration, tracked as a latency objective so burn-rate
 /// alerting fires when the single-threaded loop stops keeping up.
@@ -97,11 +93,11 @@ struct NetServerOptions {
 /// follows the operator-plane bypass rules (no max_connections cap, no
 /// admission queue, no net/* fault injection).
 ///
-/// Observability: per-connection/per-frame counters and latency histograms
-/// in the MetricsRegistry ("net/..."), a sliding-window latency histogram
-/// ("net/window/serve_latency_seconds") and the kSloNetServeLatency SLO
-/// when those stacks are armed, and a ScopedProvenanceRecord spanning
-/// decode -> serve -> encode per dispatched request. Fault injection:
+/// Observability: per-connection/per-frame counters in the MetricsRegistry
+/// ("net/..."), and one ScopedProvenanceRecord per serve or anonymize
+/// request spanning decode -> serve -> encode, from which
+/// obs::FinishRequest derives the latency histograms, the sliding windows
+/// and the obs::kSloNetServeLatency SLO. Fault injection:
 /// net/slow_read (reads deliver one byte), net/torn_write (responses are
 /// written half a frame at a time), net/conn_drop (the connection is
 /// severed right before its response) — none of which may ever weaken

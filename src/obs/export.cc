@@ -688,9 +688,9 @@ Status WriteTextFile(const std::string& path, const std::string& content) {
 namespace {
 
 /// Folds the armed global window registry / SLO tracker into `snapshot`,
-/// evaluated at the SimClock's current simulated time.
+/// evaluated now.
 void Augment(MetricsSnapshot* snapshot) {
-  const uint64_t now = SimClock::Global().now();
+  const uint64_t now = NowMicros();
   if (WindowRegistry::Global().enabled()) {
     snapshot->windows = WindowRegistry::Global().Snapshot(now);
   }

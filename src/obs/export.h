@@ -75,9 +75,9 @@ std::string ExportPrometheus(const MetricsSnapshot& snapshot,
 Status CheckPrometheusText(const std::string& text);
 
 /// Snapshot of the global MetricsRegistry augmented with the global
-/// window registry and SLO tracker (evaluated at the SimClock's current
-/// simulated time) when those are armed; a plain metrics snapshot
-/// otherwise. What the CLI dump and run report consume.
+/// window registry and SLO tracker (evaluated at NowMicros()) when those
+/// are armed; a plain metrics snapshot otherwise. What the CLI dump and run
+/// report consume.
 MetricsSnapshot FullSnapshot();
 
 /// Snapshots `registry` (augmented like FullSnapshot when `registry` is

@@ -52,7 +52,7 @@ class MemCounter {
 ///
 /// Disabled by default, like every other obs layer: the serving-path hook
 /// is `if (obs::MemoryAccounting()) { ... }` — one relaxed load — and
-/// bench_mem_overhead gates the disarmed cost at 5%. Armed by
+/// bench_overhead gates the disarmed cost at 5%. Armed by
 /// NetServer::Start, `pasa_cli memstats`, and the capacity benches.
 class MemoryAccountant {
  public:

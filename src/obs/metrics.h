@@ -21,7 +21,7 @@ struct ObsOptions {
   /// Gauge::Set, Histogram::Observe and ScopedSpan degenerates to one
   /// relaxed atomic load plus a predictable branch, making the layer
   /// near-zero-cost on instrumented hot paths (verified by
-  /// bench_obs_overhead).
+  /// bench_overhead).
   bool enabled = true;
 };
 

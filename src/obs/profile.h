@@ -36,10 +36,10 @@ struct ProfilerOptions {
 /// loadable) and a self-time summary table.
 ///
 /// Costs: while DISARMED, the hook inside ScopedSpan is one relaxed atomic
-/// load (gated by bench_profile_overhead like the other obs kill
-/// switches). While armed, each span push/pop additionally takes a
-/// per-thread mutex to publish the new path, and the sampler takes one
-/// mutex sweep per sample period.
+/// load (gated by bench_overhead like the other obs kill switches). While
+/// armed, each span push/pop additionally takes a per-thread mutex to
+/// publish the new path, and the sampler takes one mutex sweep per sample
+/// period.
 ///
 /// Span paths only exist while the obs layer is enabled (a disabled
 /// ScopedSpan is inert), so a disabled obs layer also means an empty

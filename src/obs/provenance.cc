@@ -9,13 +9,18 @@
 
 #include "obs/export.h"
 #include "obs/mem.h"
+#include "obs/metrics.h"
+#include "obs/slo.h"
+#include "obs/tail_trace.h"
 #include "obs/trace_context.h"
+#include "obs/window.h"
 
 namespace pasa {
 namespace obs {
 namespace {
 
-thread_local ProvenanceRecord* g_current_record = nullptr;
+/// The outermost ScopedProvenanceRecord open on this thread.
+thread_local ScopedProvenanceRecord* g_outermost = nullptr;
 
 /// Exact JSON formatting for doubles: %.17g round-trips every finite value
 /// through strtod, which the field-for-field audit round-trip test relies
@@ -385,23 +390,108 @@ Status ProvenanceRing::WriteJsonlFile(const std::string& path) const {
   return WriteTextFile(path, content);
 }
 
-ProvenanceRecord* CurrentProvenance() { return g_current_record; }
+ProvenanceRecord* CurrentProvenance() {
+  return g_outermost != nullptr ? g_outermost->get() : nullptr;
+}
+
+void FinishRequest(ProvenanceRecord&& record,
+                   std::vector<CollectedSpan> spans, uint64_t now_micros) {
+  // A timed phase never reads exactly zero, so the phases a record carries
+  // say which layers served it: only CspServer::HandleRequest times the
+  // cloak, and only the network front end times the net phases.
+  const bool csp = record.cloak_seconds > 0.0;
+  const bool net = record.net_decode_seconds > 0.0 ||
+                   record.net_queue_seconds > 0.0 ||
+                   record.net_encode_seconds > 0.0;
+  const double csp_seconds = record.cloak_seconds + record.lbs_seconds;
+  // The latency a remote client experiences: decode happened before the
+  // request was queued, and total_seconds covers serve + encode.
+  const double net_seconds = record.net_decode_seconds +
+                             record.net_queue_seconds + record.total_seconds;
+  // Histograms register on first use, so a process that never serves a
+  // layer exports none of its series.
+  if (csp) {
+    static Histogram& csp_latency =
+        MetricsRegistry::Global().GetHistogram("csp/handle_request_seconds");
+    csp_latency.Observe(csp_seconds);
+  }
+  if (net) {
+    static Histogram& net_latency =
+        MetricsRegistry::Global().GetHistogram("net/serve_latency_seconds");
+    static Histogram& queue_wait =
+        MetricsRegistry::Global().GetHistogram("net/queue_wait_seconds");
+    net_latency.Observe(net_seconds, record.trace_id);
+    queue_wait.Observe(record.net_queue_seconds);
+  }
+  // Client errors don't burn serving SLOs or the degraded rate.
+  const bool accepted = record.outcome != RequestOutcome::kRejected;
+
+  WindowRegistry& windows = WindowRegistry::Global();
+  if (windows.enabled()) {
+    if (csp) {
+      static SlidingWindowHistogram& csp_window =
+          windows.GetHistogram("csp/window/serve_latency_seconds");
+      csp_window.Observe(csp_seconds, now_micros);
+      if (accepted) {
+        static SlidingWindowRate& degraded_rate =
+            windows.GetRate("csp/window/degraded_rate");
+        degraded_rate.Record(record.outcome == RequestOutcome::kDegraded,
+                             now_micros);
+      }
+    }
+    if (net) {
+      static SlidingWindowHistogram& queue_window =
+          windows.GetHistogram("net/window/queue_wait_seconds");
+      queue_window.Observe(record.net_queue_seconds, now_micros);
+      static SlidingWindowHistogram& net_window =
+          windows.GetHistogram("net/window/serve_latency_seconds");
+      net_window.Observe(net_seconds, now_micros);
+    }
+  }
+  SloTracker& slo = SloTracker::Global();
+  if (slo.enabled()) {
+    if (csp && accepted) {
+      slo.Record(kSloAvailability,
+                 record.outcome != RequestOutcome::kFailed, now_micros);
+      slo.RecordLatency(kSloServeLatency, csp_seconds, now_micros);
+      slo.Record(kSloAnonymity,
+                 record.group_size >= static_cast<uint64_t>(record.k),
+                 now_micros);
+    }
+    if (net) slo.RecordLatency(kSloNetServeLatency, net_seconds, now_micros);
+  }
+  TailTraceRing& tail = TailTraceRing::Global();
+  if (record.trace_id != 0 && tail.enabled()) {
+    TailTrace trace;
+    trace.trace_id = record.trace_id;
+    trace.rid = record.rid;
+    trace.outcome = RequestOutcomeName(record.outcome);
+    trace.total_seconds = net ? net_seconds : record.total_seconds;
+    trace.spans = std::move(spans);
+    tail.Offer(std::move(trace));
+  }
+  ProvenanceRing::Global().Append(std::move(record));
+}
 
 ScopedProvenanceRecord::ScopedProvenanceRecord()
-    : active_(ProvenanceRing::Global().enabled() &&
-              g_current_record == nullptr) {
-  if (!active_) return;
-  g_current_record = &record_;
+    : outermost_(g_outermost == nullptr),
+      request_(outermost_ ? &record_ : &g_outermost->record()) {
+  if (!outermost_) return;
+  armed_ = ProvenanceRing::Global().enabled() ||
+           WindowRegistry::Global().enabled() ||
+           SloTracker::Global().enabled() ||
+           TailTraceRing::Global().enabled();
+  g_outermost = this;
   start_ = std::chrono::steady_clock::now();
 }
 
-ScopedProvenanceRecord::~ScopedProvenanceRecord() {
-  if (!active_) return;
+void ScopedProvenanceRecord::Finish(std::vector<CollectedSpan> spans) {
+  if (g_outermost != this) return;
+  g_outermost = nullptr;
+  const auto end = std::chrono::steady_clock::now();
   record_.total_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  g_current_record = nullptr;
-  ProvenanceRing::Global().Append(std::move(record_));
+      std::chrono::duration<double>(end - start_).count();
+  FinishRequest(std::move(record_), std::move(spans), SteadyMicros(end));
 }
 
 }  // namespace obs

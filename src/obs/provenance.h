@@ -13,13 +13,16 @@
 
 #include "common/status.h"
 #include "obs/json.h"
+#include "obs/trace_context.h"
 
 namespace pasa {
 namespace obs {
 
-/// How one request left the serving path.
+/// How one request left the serving path. An anonymize-only request (the
+/// wire protocol's AnonymizeRequest) makes no LBS hop: it ends kServed with
+/// zero lbs_attempts once cloaked, or kRejected with its status.
 enum class RequestOutcome : uint8_t {
-  kServed = 0,    ///< fresh answer (cache hit or provider fetch)
+  kServed = 0,    ///< fresh answer (cache hit or provider fetch), or cloaked
   kDegraded = 1,  ///< served stale from the cache while the provider was down
   kFailed = 2,    ///< provider down and no fallback: the request was lost
   kRejected = 3,  ///< invalid w.r.t. the current snapshot (client error)
@@ -119,11 +122,10 @@ Result<std::vector<ProvenanceRecord>> ReadProvenanceJsonlFile(
 /// Bounded ring of the most recent ProvenanceRecords, in the spirit of the
 /// TraceEventSink but overwrite-oldest instead of drop-newest (an audit
 /// wants the freshest requests). Disabled by default; the serving path's
-/// only disarmed cost is one relaxed load in ScopedProvenanceRecord plus
-/// null-pointer checks at annotation sites (gated by
-/// bench_provenance_overhead). Appends serialize on a mutex — the critical
-/// section is one vector-slot move, so the armed path stays lock-light and
-/// TSan-clean.
+/// only disarmed cost is a few relaxed loads in ScopedProvenanceRecord plus
+/// null-pointer checks at annotation sites (gated by bench_overhead).
+/// Appends serialize on a mutex — the critical section is one vector-slot
+/// move, so the armed path stays lock-light and TSan-clean.
 class ProvenanceRing {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
@@ -195,35 +197,71 @@ class ProvenanceRing {
 };
 
 /// The record the current thread is building, or nullptr when no
-/// ScopedProvenanceRecord is open (or the ring is disabled). Lower layers
-/// (Anonymizer, CachingLbsFrontend, ResilientLbsClient) annotate through
-/// this instead of threading a record through every signature:
+/// ScopedProvenanceRecord is open or no consumer of the record (the ring,
+/// the windows, the SLO tracker, the tail-trace ring) was armed when it
+/// opened. Lower layers (Anonymizer, CachingLbsFrontend,
+/// ResilientLbsClient) annotate through this instead of threading a record
+/// through every signature:
 ///
 ///   if (obs::ProvenanceRecord* p = obs::CurrentProvenance()) {
 ///     p->cache_hit = true;
 ///   }
 ProvenanceRecord* CurrentProvenance();
 
-/// RAII per-request record: opened by a top-level serving entry point
-/// (CspServer::HandleRequest, the CLI's sampled-request loop), exposed to
-/// nested layers via CurrentProvenance(), stamped with total_seconds and
-/// appended to the global ring on destruction. Inert (and free apart from
-/// one relaxed load) while the ring is disabled; a scope opened inside
-/// another scope is also inert, so the outermost entry point wins.
+/// Derives every per-request signal from one finished record, so each
+/// request's telemetry is built once:
+///   - records with a cloak phase (cloak_seconds, stamped with lbs_seconds
+///     by CspServer::HandleRequest): the csp/handle_request_seconds
+///     histogram (cloak + lbs), the csp/window/serve_latency_seconds and
+///     csp/window/degraded_rate windows, and the csp/availability,
+///     csp/serve_latency and csp/anonymity SLOs (rejected requests are
+///     client errors and burn no SLO);
+///   - records with network phases (net_*_seconds, stamped by the network
+///     front end): net/serve_latency_seconds (decode + queue + total, with
+///     the trace id as exemplar), net/queue_wait_seconds, their two windows
+///     and the net/serve_latency SLO;
+///   - traced records: a tail-trace offer carrying `spans`;
+///   - every record: the provenance ring, which takes `record` by move.
+/// `now_micros` (steady-clock micros, see NowMicros) is the time the
+/// windows and SLOs book the request at. Called once per request by
+/// ScopedProvenanceRecord::Finish; tests call it with explicit times.
+void FinishRequest(ProvenanceRecord&& record,
+                   std::vector<CollectedSpan> spans, uint64_t now_micros);
+
+/// RAII per-request record, opened by every serving entry point
+/// (NetServer::Dispatch, CspServer::HandleRequest, the CLI's sampled-request
+/// loop). Only the outermost scope on a thread owns a record: a scope
+/// opened inside another one resolves to the outer record and finishes
+/// nothing, so the outermost entry point wins. The record always carries
+/// the phase timings the latency histograms derive from; it is exposed to
+/// lower layers via CurrentProvenance() only while a consumer is armed.
+/// Finish (or, failing that, the destructor) stamps total_seconds and hands
+/// the record to FinishRequest.
 class ScopedProvenanceRecord {
  public:
   ScopedProvenanceRecord();
-  ~ScopedProvenanceRecord();
+  ~ScopedProvenanceRecord() { Finish(); }
 
   ScopedProvenanceRecord(const ScopedProvenanceRecord&) = delete;
   ScopedProvenanceRecord& operator=(const ScopedProvenanceRecord&) = delete;
 
-  bool active() const { return active_; }
-  /// The record being built, or nullptr when inert.
-  ProvenanceRecord* get() { return active_ ? &record_ : nullptr; }
+  /// True for the outermost scope while a consumer is armed.
+  bool active() const { return outermost_ && armed_; }
+  /// This scope's record while active, nullptr otherwise.
+  ProvenanceRecord* get() { return active() ? &record_ : nullptr; }
+  /// The request's record, armed or not: this scope's when outermost, the
+  /// enclosing scope's otherwise. Entry points stamp phase timings here.
+  ProvenanceRecord& record() { return *request_; }
+
+  /// Outermost scope only: stamps total_seconds and calls FinishRequest
+  /// with the request's collected `spans`. Runs at most once; a nested
+  /// scope's call does nothing.
+  void Finish(std::vector<CollectedSpan> spans = {});
 
  private:
-  bool active_;
+  bool outermost_;
+  bool armed_ = false;
+  ProvenanceRecord* request_;
   ProvenanceRecord record_;
   std::chrono::steady_clock::time_point start_;
 };

@@ -78,12 +78,16 @@ inline constexpr char kSloAvailability[] = "csp/availability";
 inline constexpr char kSloServeLatency[] = "csp/serve_latency";
 inline constexpr char kSloAnonymity[] = "csp/anonymity";
 
+/// Well-known objective name for the socket serving path (decode + queue +
+/// serve + encode, the latency a remote client actually experiences).
+inline constexpr char kSloNetServeLatency[] = "net/serve_latency";
+
 /// The three objectives CspServer registers by default: 99.9% availability,
 /// p99-style latency (99% of requests under 5ms wall), and zero anonymity
 /// violations (every accepted request cloaked with group size >= k).
 std::vector<SloObjective> DefaultServingObjectives();
 
-/// Evaluated state of one objective at a point in simulated time.
+/// Evaluated state of one objective at one point in time.
 struct SloState {
   std::string name;
   SloObjective::Kind kind = SloObjective::Kind::kAvailability;
@@ -99,12 +103,12 @@ struct SloState {
   uint64_t alerts_resolved = 0;
 };
 
-/// Tracks every configured objective against the simulated clock.
+/// Tracks every configured objective over steady-clock time (NowMicros).
 /// Disabled by default; Record/RecordLatency are no-ops (one relaxed load)
 /// until Enable(), so the disarmed serving path stays near-free (gated by
-/// bench_provenance_overhead). Alert transitions are logged ("slo"
-/// component), emitted as TraceInstants ("slo/<name>/fired|resolved") and
-/// counted in the MetricsRegistry ("slo/alerts_fired|resolved").
+/// bench_overhead). Alert transitions are logged ("slo" component), emitted
+/// as TraceInstants ("slo/<name>/fired|resolved") and counted in the
+/// MetricsRegistry ("slo/alerts_fired|resolved").
 class SloTracker {
  public:
   SloTracker() = default;
@@ -125,7 +129,7 @@ class SloTracker {
   /// can install defaults without clobbering a caller's Configure).
   void EnsureObjective(const SloObjective& objective);
 
-  /// Records one good/bad event for `name` at simulated time `now_micros`
+  /// Records one good/bad event for `name` at time `now_micros`
   /// and processes any alert transition. Unknown names and the disabled
   /// state are no-ops.
   void Record(const std::string& name, bool good, uint64_t now_micros);

@@ -19,11 +19,6 @@ uint64_t OldestValidSlice(uint64_t current) {
 
 }  // namespace
 
-SimClock& SimClock::Global() {
-  static SimClock* clock = new SimClock();
-  return *clock;
-}
-
 SlidingWindowHistogram::SlidingWindowHistogram(
     std::vector<double> upper_bounds, uint64_t window_micros)
     : bounds_(upper_bounds.empty() ? DefaultLatencyBuckets()

@@ -2,6 +2,7 @@
 #define PASA_OBS_WINDOW_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -12,35 +13,23 @@
 namespace pasa {
 namespace obs {
 
-/// The simulated-microsecond clock the windowed telemetry slides over.
-///
-/// The serving stack has no real network: wall time covers only in-process
-/// work, while provider latency enters through the fault injector's
-/// simulated-microsecond payloads. The windows need one monotonic timeline
-/// covering both, so the serving path advances this clock by its measured
-/// wall latency and the resilient LBS client additionally advances it by
-/// the simulated micros a request consumed (injected latency + backoff).
-/// Reads and advances are single relaxed atomics, safe from any thread.
-class SimClock {
- public:
-  /// The process-wide clock every window and SLO evaluation reads.
-  static SimClock& Global();
+/// Steady-clock microseconds of `t`: the one timeline every sliding window,
+/// SLO record and burn-rate evaluation uses. A layer that already read the
+/// steady clock for a timer passes that reading instead of reading twice.
+inline uint64_t SteadyMicros(std::chrono::steady_clock::time_point t) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          t.time_since_epoch())
+          .count());
+}
 
-  uint64_t now() const { return micros_.load(std::memory_order_relaxed); }
+/// The current steady-clock time in microseconds. The windows and SLOs take
+/// their time as an argument, so tests drive them with explicit times.
+inline uint64_t NowMicros() {
+  return SteadyMicros(std::chrono::steady_clock::now());
+}
 
-  /// Moves the clock forward and returns the new time.
-  uint64_t Advance(uint64_t micros) {
-    return micros_.fetch_add(micros, std::memory_order_relaxed) + micros;
-  }
-
-  /// Rewinds to zero (tests and benches; never the serving path).
-  void Reset() { micros_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<uint64_t> micros_{0};
-};
-
-/// Default span of a sliding window: the last 10 simulated seconds.
+/// Default span of a sliding window: the last 10 seconds.
 inline constexpr uint64_t kDefaultWindowMicros = 10'000'000;
 
 /// How many time slices a window is divided into. Expiry granularity is one
@@ -161,7 +150,7 @@ struct WindowSnapshot {
 ///   if (obs::WindowRegistry::Global().enabled()) {
 ///     static obs::SlidingWindowRate& hits = obs::WindowRegistry::Global()
 ///         .GetRate("lbs/window/cache_hit_rate");
-///     hits.Record(hit, obs::SimClock::Global().now());
+///     hits.Record(hit, obs::NowMicros());
 ///   }
 class WindowRegistry {
  public:

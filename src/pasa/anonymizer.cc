@@ -60,19 +60,8 @@ Result<AnonymizedRequest> Anonymizer::Anonymize(const ServiceRequest& sr) {
   const int32_t node = policy_.assignment[*row];
   AnonymizedRequest ar{next_rid_++, tree_.node(node).region, sr.params};
   if (obs::ProvenanceRecord* p = obs::CurrentProvenance()) {
-    p->rid = ar.rid;
-    p->sender = sr.sender;
-    p->k = options_.k;
-    p->cloak_x1 = ar.cloak.x1;
-    p->cloak_y1 = ar.cloak.y1;
-    p->cloak_x2 = ar.cloak.x2;
-    p->cloak_y2 = ar.cloak.y2;
-    p->cloak_area = ar.cloak.Area();
-    p->policy_node = node;
-    p->tree_path = tree_.PathString(node);
-    p->node_depth = tree_.node(node).depth;
-    p->group_size = policy_.group_sizes[node];
-    p->passed_up = policy_.config.C(node);
+    AnnotateCloakDecision(tree_, policy_, options_.k, node, ar.rid, sr.sender,
+                          p);
   }
   return ar;
 }

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "obs/provenance.h"
+
 namespace pasa {
 namespace {
 
@@ -128,6 +130,28 @@ CloakingTable ExtractedPolicy::Table(const BinaryTree& tree) const {
     table.Assign(row, tree.node(assignment[row]).region);
   }
   return table;
+}
+
+void AnnotateCloakDecision(const BinaryTree& tree,
+                           const ExtractedPolicy& policy, int k, int32_t node,
+                           int64_t rid, int64_t sender,
+                           obs::ProvenanceRecord* record) {
+  const BinaryTree::Node& cloak = tree.node(node);
+  record->rid = rid;
+  record->sender = sender;
+  record->k = k;
+  record->cloak_x1 = cloak.region.x1;
+  record->cloak_y1 = cloak.region.y1;
+  record->cloak_x2 = cloak.region.x2;
+  record->cloak_y2 = cloak.region.y2;
+  record->cloak_area = cloak.region.Area();
+  record->policy_node = node;
+  if (obs::ProvenanceRing::Global().enabled()) {
+    record->tree_path = tree.PathString(node);
+  }
+  record->node_depth = cloak.depth;
+  record->group_size = policy.group_sizes[node];
+  record->passed_up = policy.config.C(node);
 }
 
 }  // namespace pasa

@@ -11,6 +11,9 @@
 #include "pasa/configuration.h"
 
 namespace pasa {
+namespace obs {
+struct ProvenanceRecord;
+}  // namespace obs
 
 /// A concrete optimal policy materialized from a configuration matrix: the
 /// configuration it realizes and the cloaking node of every snapshot row
@@ -47,6 +50,17 @@ struct ExtractedPolicy {
 /// 1; we pick deterministically in resident-row order.
 Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
                                              const DpMatrix& matrix, int k);
+
+/// Records the cloak decision behind one request on `record`: its rid and
+/// sender, k, the rectangle of cloaking node `node`, the node's place in
+/// `tree`, the anonymity group it hides the sender in and C(node).
+/// tree_path allocates, so it is filled only while the provenance ring is
+/// armed. Shared by CspServer and Anonymizer, so every audit record
+/// describes a decision the same way.
+void AnnotateCloakDecision(const BinaryTree& tree,
+                           const ExtractedPolicy& policy, int k, int32_t node,
+                           int64_t rid, int64_t sender,
+                           obs::ProvenanceRecord* record);
 
 }  // namespace pasa
 

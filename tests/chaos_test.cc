@@ -212,7 +212,6 @@ TEST(ChaosTest, ServingPathSurvivesAndReplaysDeterministically) {
 // SLO tracker) from a clean slate, so a chaos run can be audited after the
 // fact.
 void ArmObservability() {
-  obs::SimClock::Global().Reset();
   obs::MetricsRegistry::Global().Reset();
   obs::ProvenanceRing::Global().Enable();
   obs::WindowRegistry::Global().Enable();
@@ -225,7 +224,6 @@ void DisarmObservability() {
   obs::ProvenanceRing::Global().Disable();
   obs::WindowRegistry::Global().Disable();
   obs::SloTracker::Global().Disable();
-  obs::SimClock::Global().Reset();
 }
 
 const obs::SloState& StateOf(const std::vector<obs::SloState>& states,
@@ -290,7 +288,7 @@ TEST(ChaosTest, ProvenanceExplainsDegradationAndAvailabilitySloFires) {
   }
 
   const std::vector<obs::SloState> states =
-      obs::SloTracker::Global().Evaluate(obs::SimClock::Global().now());
+      obs::SloTracker::Global().Evaluate(obs::NowMicros());
   EXPECT_GT(StateOf(states, obs::kSloAvailability).alerts_fired, 0u)
       << "a provider this unreliable must trip the availability burn alert";
   EXPECT_EQ(StateOf(states, obs::kSloAnonymity).alerts_fired, 0u)
@@ -318,7 +316,7 @@ TEST(ChaosTest, CleanRunKeepsSlosQuietAndProvenanceClean) {
     EXPECT_EQ(r.lbs_retries, 0u);
   }
   for (const obs::SloState& state :
-       obs::SloTracker::Global().Evaluate(obs::SimClock::Global().now())) {
+       obs::SloTracker::Global().Evaluate(obs::NowMicros())) {
     EXPECT_FALSE(state.alerting) << state.name;
     EXPECT_EQ(state.alerts_fired, 0u) << state.name;
   }

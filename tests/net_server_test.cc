@@ -29,6 +29,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
+#include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/tail_trace.h"
 #include "obs/trace.h"
@@ -194,6 +195,80 @@ TEST(NetServerTest, SnapshotAdvanceOverTheWire) {
   ServeAndVerify(fx.server->port(), fx.db, 10, 0, 50, &failures);
   EXPECT_EQ(failures.load(), 0);
   fx.server->Stop();
+}
+
+// The audit trail holds one record per request, with its real outcome: a
+// serve and an anonymize each leave their cloak decision, and a snapshot
+// advance, a control frame rather than a request, leaves none.
+TEST(NetServerTest, AuditTrailRecordsRequestsWithTheirRealOutcome) {
+  obs::ProvenanceRing& ring = obs::ProvenanceRing::Global();
+  ring.Enable();
+  Fixture fx(/*k=*/10);
+  Result<NetClient> client = NetClient::Connect(fx.server->port());
+  ASSERT_TRUE(client.ok());
+  const auto& row = fx.db.row(3);
+  const ServiceRequest sr{row.user, row.location, {{"poi", "rest"}}};
+
+  Result<Frame> served =
+      client->Call(MsgType::kServeRequest, EncodeServiceRequest(sr));
+  ASSERT_TRUE(served.ok());
+  ASSERT_EQ(served->type, MsgType::kServeResponse);
+  Result<ServeResponseMsg> serve_msg = DecodeServeResponse(served->payload);
+  ASSERT_TRUE(serve_msg.ok());
+
+  Result<Frame> cloaked =
+      client->Call(MsgType::kAnonymizeRequest, EncodeServiceRequest(sr));
+  ASSERT_TRUE(cloaked.ok());
+  ASSERT_EQ(cloaked->type, MsgType::kAnonymizeResponse);
+  Result<AnonymizeResponseMsg> cloak_msg =
+      DecodeAnonymizeResponse(cloaked->payload);
+  ASSERT_TRUE(cloak_msg.ok());
+
+  MovementOptions move_options;
+  move_options.seed = 99;
+  SnapshotAdvanceMsg advance;
+  advance.moves = DrawMoves(fx.db, fx.extent, move_options);
+  Result<Frame> report = client->Call(MsgType::kSnapshotAdvance,
+                                      EncodeSnapshotAdvance(advance), 30.0);
+  ASSERT_TRUE(report.ok());
+  ASSERT_EQ(report->type, MsgType::kSnapshotReport);
+
+  std::vector<obs::ProvenanceRecord> records = ring.Records();
+  ASSERT_EQ(records.size(), 2u);
+  const obs::ProvenanceRecord& serve = records[0];
+  EXPECT_EQ(serve.outcome, obs::RequestOutcome::kServed);
+  EXPECT_EQ(serve.status, "OK");
+  EXPECT_EQ(serve.rid, serve_msg->rid);
+  EXPECT_EQ(serve.sender, row.user);
+  EXPECT_EQ(serve.group_size, serve_msg->group_size);
+  EXPECT_GT(serve.lbs_seconds, 0.0);
+  EXPECT_GT(serve.net_encode_seconds, 0.0);
+  const obs::ProvenanceRecord& anonymize = records[1];
+  EXPECT_EQ(anonymize.outcome, obs::RequestOutcome::kServed);
+  EXPECT_EQ(anonymize.status, "OK");
+  EXPECT_EQ(anonymize.rid, cloak_msg->rid);
+  EXPECT_NE(anonymize.rid, 0);
+  EXPECT_EQ(anonymize.sender, row.user);
+  EXPECT_EQ(anonymize.k, 10);
+  EXPECT_EQ(anonymize.group_size, cloak_msg->group_size);
+  EXPECT_EQ(anonymize.cloak_x1, cloak_msg->cloak_x1);
+  EXPECT_EQ(anonymize.cloak_y2, cloak_msg->cloak_y2);
+  EXPECT_FALSE(anonymize.tree_path.empty());
+  EXPECT_EQ(anonymize.lbs_attempts, 0u);
+
+  // An anonymize request the CSP rejects is audited as rejected.
+  const ServiceRequest unknown{987654321, row.location, {}};
+  Result<Frame> rejected =
+      client->Call(MsgType::kAnonymizeRequest, EncodeServiceRequest(unknown));
+  ASSERT_TRUE(rejected.ok());
+  ASSERT_EQ(rejected->type, MsgType::kError);
+  records = ring.Records();
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[2].outcome, obs::RequestOutcome::kRejected);
+  EXPECT_EQ(records[2].status, "INVALID_ARGUMENT");
+  EXPECT_EQ(records[2].sender, 987654321);
+  fx.server->Stop();
+  ring.Disable();
 }
 
 TEST(NetServerTest, RejectsUnknownUserWithTypedError) {
@@ -900,6 +975,97 @@ TEST(NetServerAdminTest, LoopSaturationMetricsVisibleAfterTraffic) {
   ASSERT_NE(it, snapshot.histograms.end());
   EXPECT_GT(it->second.count, 0u);
   fx.server->Stop();
+}
+
+// The GET /slo row of `name` ("| name | kind | ... |"), or "" when absent.
+std::string SloRow(const std::string& table, const std::string& name) {
+  const size_t at = table.find("| " + name + " ");
+  if (at == std::string::npos) return "";
+  return table.substr(at, table.find('\n', at) - at);
+}
+
+// `name`'s state as GET /metrics and --metrics-out export it now.
+obs::SloState ExportedSloState(const std::string& name) {
+  for (const obs::SloState& state : obs::FullSnapshot().slos) {
+    if (state.name == name) return state;
+  }
+  ADD_FAILURE() << "objective " << name << " not exported";
+  return {};
+}
+
+// The SLO windows slide over the steady clock, so a burn alert clears
+// once its bad events age out, even while no request arrives.
+TEST(NetServerAdminTest, IdleServerClearsItsAvailabilityAlert) {
+  obs::SloTracker& slo = obs::SloTracker::Global();
+  slo.Configure({{.name = obs::kSloAvailability,
+                  .kind = obs::SloObjective::Kind::kAvailability,
+                  .target = 0.999,
+                  .fast_window_micros = 100'000,
+                  .slow_window_micros = 200'000}});
+  slo.Enable();
+  fault::FaultPlan plan;
+  fault::FaultPointConfig error{std::string(fault::kLbsError)};
+  error.probability = 1.0;
+  plan.points = {error};
+  fault::FaultInjector::Global().Arm(plan, 11);
+
+  Fixture fx(/*k=*/10, WithAdminPlane());
+  Result<NetClient> client = NetClient::Connect(fx.server->port());
+  ASSERT_TRUE(client.ok());
+  for (size_t i = 0; i < 20; ++i) {
+    const auto& row = fx.db.row(i);
+    const ServiceRequest sr{row.user, row.location, {{"poi", "rest"}}};
+    Result<Frame> frame =
+        client->Call(MsgType::kServeRequest, EncodeServiceRequest(sr));
+    ASSERT_TRUE(frame.ok());
+    EXPECT_EQ(frame->type, MsgType::kError);
+  }
+  fault::FaultInjector::Global().Disarm();
+  EXPECT_GE(obs::MetricsRegistry::Global()
+                .GetCounter("slo/alerts_fired")
+                .value(),
+            1u);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  Result<HttpResponse> idle = HttpGet(fx.server->admin_port(), "/slo");
+  ASSERT_TRUE(idle.ok());
+  const std::string row = SloRow(idle->body, obs::kSloAvailability);
+  ASSERT_FALSE(row.empty()) << idle->body;
+  EXPECT_EQ(row.find("ALERT"), std::string::npos) << row;
+  const obs::SloState state = ExportedSloState(obs::kSloAvailability);
+  EXPECT_FALSE(state.alerting);
+  EXPECT_GE(state.alerts_fired, 1u);
+  EXPECT_GE(state.alerts_resolved, 1u);
+  fx.server->Stop();
+  slo.Disable();
+  slo.Configure({});
+}
+
+// Loop saturation is recorded per worked tick: an idle loop records
+// nothing, and its alert must still clear as the window slides.
+TEST(NetServerAdminTest, IdleServerClearsItsLoopSaturationAlert) {
+  obs::SloTracker& slo = obs::SloTracker::Global();
+  // Every worked tick is "saturated" under a 1 ns threshold.
+  slo.Configure({{.name = kSloNetLoopSaturation,
+                  .kind = obs::SloObjective::Kind::kLatency,
+                  .target = 0.99,
+                  .latency_threshold_seconds = 1e-9,
+                  .fast_window_micros = 100'000,
+                  .slow_window_micros = 200'000}});
+  slo.Enable();
+  Fixture fx(/*k=*/10);
+  std::atomic<int> failures{0};
+  ServeAndVerify(fx.server->port(), fx.db, 10, 0, 25, &failures);
+  ASSERT_EQ(failures.load(), 0);
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const obs::SloState state = ExportedSloState(kSloNetLoopSaturation);
+  EXPECT_GE(state.alerts_fired, 1u);
+  EXPECT_FALSE(state.alerting);
+  EXPECT_GE(state.alerts_resolved, 1u);
+  fx.server->Stop();
+  slo.Disable();
+  slo.Configure({});
 }
 
 TEST(NetServerAdminTest, ProfileEndpointReportsArmedStateAndStacks) {

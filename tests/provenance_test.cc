@@ -8,7 +8,9 @@
 #include <vector>
 
 #include "obs/json.h"
+#include "obs/metrics.h"
 #include "obs/provenance.h"
+#include "obs/window.h"
 
 namespace pasa {
 namespace obs {
@@ -212,6 +214,64 @@ TEST_F(ProvenanceTest, ScopedRecordCapturesAnnotationsAndStampsTotal) {
   EXPECT_EQ(records[0].rid, 5);
   EXPECT_TRUE(records[0].cache_hit);
   EXPECT_GT(records[0].total_seconds, 0.0);
+}
+
+uint64_t HistogramCount(const std::string& name) {
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const auto it = snapshot.histograms.find(name);
+  return it == snapshot.histograms.end() ? 0 : it->second.count;
+}
+
+// FinishRequest derives each layer's signals only from the phases the
+// record carries, and appends every record to the armed ring.
+TEST_F(ProvenanceTest, FinishRequestDerivesEachLayerFromItsPhases) {
+  Configure(ObsOptions{.enabled = true});
+  ProvenanceRing::Global().Enable();
+  WindowRegistry& windows = WindowRegistry::Global();
+  windows.Enable();
+  windows.Reset();
+  const uint64_t csp_before = HistogramCount("csp/handle_request_seconds");
+  const uint64_t net_before = HistogramCount("net/serve_latency_seconds");
+  constexpr uint64_t kNow = 5'000'000;
+
+  ProvenanceRecord in_process;  // CspServer::HandleRequest alone
+  in_process.outcome = RequestOutcome::kDegraded;
+  in_process.cloak_seconds = 1e-5;
+  in_process.lbs_seconds = 3e-5;
+  FinishRequest(std::move(in_process), {}, kNow);
+  EXPECT_EQ(HistogramCount("csp/handle_request_seconds"), csp_before + 1);
+  EXPECT_EQ(HistogramCount("net/serve_latency_seconds"), net_before);
+
+  ProvenanceRecord remote;  // the network front end around the CSP
+  remote.outcome = RequestOutcome::kServed;
+  remote.cloak_seconds = 1e-5;
+  remote.lbs_seconds = 1e-5;
+  remote.net_decode_seconds = 1e-6;
+  remote.net_queue_seconds = 2e-6;
+  remote.net_encode_seconds = 1e-6;
+  remote.total_seconds = 4e-5;
+  FinishRequest(std::move(remote), {}, kNow);
+  EXPECT_EQ(HistogramCount("csp/handle_request_seconds"), csp_before + 2);
+  EXPECT_EQ(HistogramCount("net/serve_latency_seconds"), net_before + 1);
+
+  FinishRequest(ProvenanceRecord{}, {}, kNow);  // no timed phase at all
+  EXPECT_EQ(HistogramCount("csp/handle_request_seconds"), csp_before + 2);
+  EXPECT_EQ(HistogramCount("net/serve_latency_seconds"), net_before + 1);
+
+  const WindowSnapshot snapshot = windows.Snapshot(kNow);
+  EXPECT_EQ(snapshot.histograms.at("csp/window/serve_latency_seconds").count,
+            2u);
+  const WindowSnapshot::HistogramData& net =
+      snapshot.histograms.at("net/window/serve_latency_seconds");
+  EXPECT_EQ(net.count, 1u);
+  EXPECT_DOUBLE_EQ(net.sum, 1e-6 + 2e-6 + 4e-5);  // decode + queue + total
+  const WindowSnapshot::RateData& degraded =
+      snapshot.rates.at("csp/window/degraded_rate");
+  EXPECT_EQ(degraded.total, 2u);
+  EXPECT_EQ(degraded.good, 1u);  // "good" counts degraded answers here
+  EXPECT_EQ(ProvenanceRing::Global().size(), 3u);
+  windows.Disable();
+  windows.Reset();
 }
 
 TEST_F(ProvenanceTest, EnableClearsPreviousRecords) {

@@ -15,8 +15,8 @@ namespace pasa {
 namespace obs {
 namespace {
 
-// Small windows keep the sliding arithmetic exact: fast covers the last
-// 16 ms of simulated time, slow the last 160 ms.
+// Small windows keep the sliding arithmetic exact: with explicit event
+// times, fast covers the last 16 ms, slow the last 160 ms.
 SloObjective TestObjective(const std::string& name, double target,
                            double burn_threshold) {
   SloObjective o;
@@ -44,14 +44,12 @@ class SloTest : public ::testing::Test {
   void SetUp() override {
     Configure(ObsOptions{.enabled = true});
     MetricsRegistry::Global().Reset();
-    SimClock::Global().Reset();
     SloTracker::Global().Configure({});  // drop objectives from other tests
     SloTracker::Global().Enable();
   }
   void TearDown() override {
     SloTracker::Global().Disable();
     SloTracker::Global().Configure({});
-    SimClock::Global().Reset();
   }
 };
 

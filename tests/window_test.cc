@@ -1,6 +1,6 @@
-// Unit tests for the windowed telemetry: the simulated clock, sliding
-// histogram/rate slice rotation and expiry, quantile interpolation, and the
-// WindowRegistry arming semantics.
+// Unit tests for the windowed telemetry: sliding histogram/rate slice
+// rotation and expiry, quantile interpolation, and the WindowRegistry
+// arming semantics.
 
 #include <gtest/gtest.h>
 
@@ -21,26 +21,14 @@ constexpr uint64_t kSlice = kWindow / kWindowSlices;
 class WindowTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    SimClock::Global().Reset();
     WindowRegistry::Global().Disable();
     WindowRegistry::Global().Reset();
   }
   void TearDown() override {
-    SimClock::Global().Reset();
     WindowRegistry::Global().Disable();
     WindowRegistry::Global().Reset();
   }
 };
-
-TEST_F(WindowTest, SimClockAdvancesAndResets) {
-  SimClock& clock = SimClock::Global();
-  EXPECT_EQ(clock.now(), 0u);
-  EXPECT_EQ(clock.Advance(250), 250u);
-  EXPECT_EQ(clock.Advance(50), 300u);
-  EXPECT_EQ(clock.now(), 300u);
-  clock.Reset();
-  EXPECT_EQ(clock.now(), 0u);
-}
 
 TEST_F(WindowTest, HistogramCountsOnlyTheCurrentWindow) {
   SlidingWindowHistogram h({1.0, 2.0, 5.0}, kWindow);

@@ -5,12 +5,11 @@
 # that must cover its instance exhaustively with zero invariant violations
 # and reproduce the committed golden counterexample), a ThreadSanitizer
 # build running the concurrency suites with a widened chaos seed sweep
-# (PASA_CHAOS_SEEDS=8), the overhead gates
-# (disarmed obs / fault / provenance / profiler instrumentation must stay
-# near-free), and a smoke pasa_benchstat run that proves the perf-regression
-# gate works end to end (writes BENCH_smoke.json and self-compares it, which
-# must pass, then compares loosely against the committed bench/baseline
-# snapshots). The net leg additionally smoke-tests the HTTP admin plane:
+# (PASA_CHAOS_SEEDS=8), the overhead gate (bench_overhead: every gated
+# instrumentation hook must cost at most 5%), and a smoke pasa_benchstat
+# run that proves the perf-regression gate works end to end (writes
+# BENCH_smoke.json and self-compares it, which must pass, then compares
+# loosely against the committed bench/baseline snapshots). The net leg additionally smoke-tests the HTTP admin plane:
 # /metrics is format-checked and cross-checked against loadgen's client-side
 # count, and /profile must name the Bulk_dp spans sampled at startup. A
 # final traced leg runs loadgen and the server with tracing armed on both
@@ -28,7 +27,7 @@
 #   PASA_CI_JOBS=N          parallelism (default: nproc)
 #   PASA_CI_BENCH_SCALE=S   workload scale for the benchstat smoke run
 #                           (default 0.002: a couple of seconds)
-#   PASA_CI_OVERHEAD_SCALE=S  workload scale for the overhead gates
+#   PASA_CI_OVERHEAD_SCALE=S  workload scale for the overhead gate
 #                           (default 0.02: large enough that the 5% bound
 #                           measures instrumentation, not timer noise)
 set -euo pipefail
@@ -118,16 +117,12 @@ else
 fi
 
 if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
-  step "overhead gates (scale ${overhead_scale})"
-  # Each binary exits non-zero when its disarmed instrumentation costs more
-  # than 5% on the hot path (obs metrics, fault injection points, the
-  # provenance/window/SLO stack, and the span-sampling profiler hook
-  # respectively).
-  for gate in bench_obs_overhead bench_fault_overhead \
-              bench_provenance_overhead bench_profile_overhead \
-              bench_trace_context_overhead bench_mem_overhead; do
-    PASA_BENCH_SCALE="${overhead_scale}" "${prefix}-release/bench/${gate}"
-  done
+  step "overhead gate (scale ${overhead_scale})"
+  # Exits non-zero when any gated row costs more than 5%: the obs metrics
+  # kill switch and the armed profiler on Bulk_dp; the quiet-plan fault
+  # injector, the disarmed provenance/window/SLO/tail-trace stack and the
+  # armed memory accountant on the CSP request path.
+  PASA_BENCH_SCALE="${overhead_scale}" "${prefix}-release/bench/bench_overhead"
 
   step "memory footprint benchstat (BENCH_footprint.json)"
   # Capacity regression gate: the sweep re-measures bytes-per-user at each

@@ -163,7 +163,7 @@ run_or_die(2 ${CLI} explain --audit ${AUDIT} --only sideways)
 run_or_die(1 ${CLI} explain --audit ${WORK_DIR}/no_such_audit.jsonl)
 
 # serve --watch renders the SLO / sliding-window dashboard against the
-# simulated clock at the requested epoch cadence.
+# steady clock at the requested epoch cadence.
 run_capture(0 watch_out ${CLI} serve --in ${LOC} --k 20 --snapshots 2
             --requests 300 --watch 2)
 require_fragment(watch_out "[watch] epoch 2" "serve --watch output")

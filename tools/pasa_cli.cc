@@ -233,8 +233,10 @@ void ServeSampleRequests(Anonymizer& engine, const LocationDatabase& db,
       }
       continue;
     }
+    WallTimer lbs_timer;
     Result<LbsAnswer> answer = frontend.Serve(*ar);
     if (obs::ProvenanceRecord* p = prov.get()) {
+      p->lbs_seconds = lbs_timer.ElapsedSeconds();
       if (answer.ok()) {
         p->outcome = answer->degraded ? obs::RequestOutcome::kDegraded
                                       : obs::RequestOutcome::kServed;
@@ -443,9 +445,9 @@ int RunExplain(const Flags& flags) {
 }
 
 // The `serve --watch` dashboard: SLO burn rates and the sliding windows,
-// rendered against the current simulated time.
-void PrintWatchDashboard(int epoch) {
-  const uint64_t now = obs::SimClock::Global().now();
+// evaluated now, `elapsed_seconds` into the run.
+void PrintWatchDashboard(int epoch, double elapsed_seconds) {
+  const uint64_t now = obs::NowMicros();
   TablePrinter table({"objective / window", "state", "detail"});
   for (const obs::SloState& slo : obs::SloTracker::Global().Evaluate(now)) {
     char detail[160];
@@ -472,8 +474,8 @@ void PrintWatchDashboard(int epoch) {
                   static_cast<unsigned long long>(r.total));
     table.AddRow({name, "window", detail});
   }
-  std::printf("\n[watch] epoch %d, simulated t=%.3f s\n", epoch,
-              static_cast<double>(now) / 1e6);
+  std::printf("\n[watch] epoch %d, %.3f s elapsed\n", epoch,
+              elapsed_seconds);
   table.Print();
 }
 
@@ -629,7 +631,9 @@ int RunServe(const Flags& flags) {
         DrawMoves(csp->snapshot(), *extent, movement);
     Result<SnapshotReport> report = csp->AdvanceSnapshot(moves);
     if (!report.ok()) return Fail(report.status());
-    if (watch > 0 && (epoch + 1) % watch == 0) PrintWatchDashboard(epoch + 1);
+    if (watch > 0 && (epoch + 1) % watch == 0) {
+      PrintWatchDashboard(epoch + 1, timer.ElapsedSeconds());
+    }
   }
   const double seconds = timer.ElapsedSeconds();
 
