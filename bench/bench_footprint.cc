@@ -60,7 +60,6 @@ int main(int argc, char** argv) {
       "pasa memory footprint sweep: bytes per user vs |D|");
 
   obs::MemoryAccountant& accountant = obs::MemoryAccountant::Global();
-  accountant.Enable();
 
   std::map<std::string, double> run;
   TablePrinter table({"|D|", "total MiB", "bytes/user", "policy tree MiB",
@@ -124,7 +123,6 @@ int main(int argc, char** argv) {
                                          : 0.0,
                                      1)});
   }
-  accountant.Disable();
   table.Print();
 
   // Memory is deterministic per seed, so one run is the whole population:

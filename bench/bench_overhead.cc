@@ -8,18 +8,21 @@
 //        k = 50;
 //   csp  the full CSP request path (validate, cloak, resilient LBS fetch
 //        through the answer cache) over a 100k-request stream on 50k users
-//        and 2,048 POIs, with the serving loop's memory-accounting hook: a
-//        relaxed load per request and, while the accountant is armed, the
-//        NetServer refresh every 64 requests and a full
-//        CspServer::ReportMemory every 4,096 (the scrape cadence).
+//        and 2,048 POIs.
 // Each workload runs the configurations its rows name once per repetition,
 // interleaved (in reverse order on every other repetition) so drift on a
-// shared host hits them alike. Each table row compares two configurations
-// by the median over the 5 repetitions of their paired time ratio, which
-// cancels host-speed swings between repetitions; a gated row over 5% fails
-// the exit code. The "everything armed" row is reported for context.
+// shared host hits them alike. Each pass is timed in the calling thread's
+// CPU time (CLOCK_THREAD_CPUTIME_ID): both workloads are single-threaded,
+// and on a shared 4-vCPU host that cut each gated row's run-to-run spread
+// to a third to two thirds of wall time's. Each table row compares two
+// configurations by the median over the 5 repetitions of their paired time
+// ratio, which cancels host-speed swings between repetitions; a gated row
+// over 5% fails the exit code. The "everything armed" row is reported for
+// context.
 //
 // Run small with PASA_BENCH_SCALE (it scales every |D| and the stream).
+
+#include <time.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -30,14 +33,11 @@
 
 #include "bench/bench_util.h"
 #include "common/table.h"
-#include "common/timer.h"
 #include "csp/server.h"
 #include "fault/injector.h"
 #include "fault/plan.h"
 #include "index/binary_tree.h"
-#include "obs/mem.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/tail_trace.h"
@@ -56,11 +56,9 @@ constexpr double kGatePercent = 5.0;
 enum Config {
   kObsOff,           ///< metrics kill switch off, every hook disarmed
   kObsOn,            ///< kill switch on, every hook disarmed (production)
-  kProfilerArmed,    ///< kObsOn + span-sampling profiler at its default rate
   kQuietFaults,      ///< kObsOn + injector armed, every point at p = 0
-  kAccountantArmed,  ///< kObsOn + memory accountant armed
-  kAllArmed,         ///< every hook above armed, plus the provenance ring,
-                     ///< windows, SLO tracker and tail-trace ring
+  kAllArmed,         ///< kQuietFaults plus the provenance ring, windows,
+                     ///< SLO tracker and tail-trace ring
 };
 
 const char* ConfigName(Config config) {
@@ -69,12 +67,8 @@ const char* ConfigName(Config config) {
       return "obs off";
     case kObsOn:
       return "obs on, hooks disarmed";
-    case kProfilerArmed:
-      return "profiler armed";
     case kQuietFaults:
       return "fault injector armed, quiet plan";
-    case kAccountantArmed:
-      return "memory accountant armed";
     case kAllArmed:
       return "everything armed";
   }
@@ -114,17 +108,14 @@ void Arm(Config config) {
   } else {
     fault::FaultInjector::Global().Disarm();
   }
-  if (all || config == kAccountantArmed) {
-    obs::MemoryAccountant::Global().Enable();
-  } else {
-    obs::MemoryAccountant::Global().Disable();
-  }
-  obs::Profiler& profiler = obs::Profiler::Global();
-  if (all || config == kProfilerArmed) {
-    if (!profiler.armed()) (void)profiler.Start();
-  } else {
-    profiler.Stop();
-  }
+}
+
+// Seconds of CPU time the calling thread has used.
+double ThreadCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
 }
 
 double Median(std::vector<double> xs) {
@@ -162,10 +153,8 @@ struct Row {
 // One row per distinct gated comparison, plus the context row.
 constexpr Row kRows[] = {
     {"dp", kObsOn, kObsOff, true},
-    {"dp", kProfilerArmed, kObsOn, true},
     {"csp", kQuietFaults, kObsOn, true},
     {"csp", kObsOn, kObsOff, true},
-    {"csp", kAccountantArmed, kObsOff, true},
     {"csp", kAllArmed, kObsOff, false},
 };
 
@@ -199,15 +188,14 @@ Passes MeasureDp() {
     return {};
   }
   return Measure(ConfigsOf("dp"), [&] {
-    WallTimer timer;
+    const double start = ThreadCpuSeconds();
     if (!ComputeDpMatrix(*tree, k, DpOptions{}).ok()) return -1.0;
-    return timer.ElapsedSeconds();
+    return ThreadCpuSeconds() - start;
   });
 }
 
 // The csp workload: one pass of the request stream through HandleRequest,
-// cache flushed first so every pass does identical work, with the serving
-// loop's memory-accounting hook after each request.
+// cache flushed first so every pass does identical work.
 Passes MeasureCsp() {
   BayAreaOptions bay;
   bay.log2_map_side = 15;
@@ -239,25 +227,13 @@ Passes MeasureCsp() {
   RequestGenerator requests(13);
   const std::vector<ServiceRequest> stream =
       requests.Draw(csp->snapshot(), bench_util::Scaled(100'000));
-  obs::MemoryAccountant& accountant = obs::MemoryAccountant::Global();
-  accountant.Reset();
   return Measure(ConfigsOf("csp"), [&] {
     csp->FlushAnswerCache();
-    uint64_t served = 0;
-    WallTimer timer;
+    const double start = ThreadCpuSeconds();
     for (const ServiceRequest& sr : stream) {
       if (!csp->HandleRequest(sr).ok()) return -1.0;
-      ++served;
-      if (obs::MemoryAccounting()) {
-        if (served % 64 == 0) {
-          // NetServer::RefreshMemoryStats-shaped work.
-          accountant.GetCounter("net/conn_buffers").Set(served);
-          accountant.GetCounter("net/pending_payloads").Set(served / 2);
-        }
-        if (served % 4096 == 0) csp->ReportMemory(accountant);
-      }
     }
-    return timer.ElapsedSeconds();
+    return ThreadCpuSeconds() - start;
   });
 }
 
@@ -302,11 +278,10 @@ int main() {
   }
   table.Print();
   std::printf(
-      "\ntimes: median of %d interleaved passes; overhead: median of the\n"
-      "%d per-repetition variant/baseline ratios\n",
+      "\ntimes: thread CPU seconds, median of %d interleaved passes;\n"
+      "overhead: median of the %d per-repetition variant/baseline ratios\n",
       kReps, kReps);
 
-  obs::Profiler::Global().Reset();
   bench_util::WriteMetricsSnapshot("overhead");
   return pass ? 0 : 1;
 }

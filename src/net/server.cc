@@ -25,7 +25,6 @@
 #include "obs/log.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/tail_trace.h"
@@ -228,11 +227,7 @@ class NetServer::PollPoller : public Poller {
 // Lifecycle.
 
 NetServer::NetServer(CspServer* csp, const NetServerOptions& options)
-    : csp_(csp),
-      options_(options),
-      pending_(obs::AccountingAllocator<Pending>(
-          &obs::MemoryAccountant::Global().GetCounter("net/pending_queue"))) {
-}
+    : csp_(csp), options_(options) {}
 
 Result<std::unique_ptr<NetServer>> NetServer::Start(
     CspServer* csp, const NetServerOptions& options) {
@@ -293,11 +288,6 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
        .kind = obs::SloObjective::Kind::kLatency,
        .target = 0.99,
        .latency_threshold_seconds = 0.025});
-
-  // Capacity accounting rides along with the serving stack: the per-scrape
-  // refresh (GET /memory, /metrics) and the pending-queue allocator both
-  // charge into the process-wide accountant.
-  obs::MemoryAccountant::Global().Enable();
 
   if (options.tail_traces) {
     obs::TailTraceRing::Options ring;
@@ -446,12 +436,6 @@ void NetServer::Loop() {
     if (worked) {
       ++loop_ticks_;
       RecordLoopTick(tick_timer.ElapsedSeconds());
-      // Periodic pull-model refresh so /metrics gauges stay current even
-      // when nobody scrapes GET /memory. Every 64 worked ticks keeps the
-      // cost (one pass over conns_) off the per-request path.
-      if (loop_ticks_ % 64 == 0 && obs::MemoryAccounting()) {
-        RefreshMemoryStats();
-      }
     }
   }
 
@@ -499,11 +483,14 @@ void NetServer::RecordLoopTick(double busy_seconds) {
   }
 }
 
-void NetServer::RefreshMemoryStats() {
+void NetServer::RefreshMemoryTelemetry() {
+  obs::MemoryAccountant& accountant = obs::MemoryAccountant::Global();
   static obs::MemCounter& conn_buffers =
-      obs::MemoryAccountant::Global().GetCounter("net/conn_buffers");
+      accountant.GetCounter("net/conn_buffers");
+  static obs::MemCounter& pending_queue =
+      accountant.GetCounter("net/pending_queue");
   static obs::MemCounter& pending_payloads =
-      obs::MemoryAccountant::Global().GetCounter("net/pending_payloads");
+      accountant.GetCounter("net/pending_payloads");
   uint64_t buffer_bytes = 0;
   for (const auto& [fd, conn] : conns_) {
     buffer_bytes += conn.decoder.ApproxBytes();
@@ -511,13 +498,15 @@ void NetServer::RefreshMemoryStats() {
     if (conn.http != nullptr) buffer_bytes += conn.http->ApproxBytes();
   }
   conn_buffers.Set(buffer_bytes);
-  // The deque's node storage is allocator-charged (net/pending_queue);
-  // the frames' payload strings are heap the allocator cannot see.
+  pending_queue.Set(pending_.size() * sizeof(Pending));
   uint64_t payload_bytes = 0;
   for (const Pending& pending : pending_) {
     payload_bytes += obs::StringApproxBytes(pending.frame.payload);
   }
   pending_payloads.Set(payload_bytes);
+  csp_->ReportMemory(accountant);
+  obs::ReportObsMemory(accountant);
+  accountant.PublishGauges(obs::MetricsRegistry::Global());
 }
 
 void NetServer::HandleListener() {
@@ -837,15 +826,7 @@ void NetServer::HandleAdminRequest(Conn* conn, const HttpRequest& request) {
     body = "only GET and HEAD are served here\n";
   } else if (request.path == "/metrics") {
     // The Prometheus scrape target; version 0.0.4 is the text format tag.
-    // Scrape-time pull refresh: re-report every subsystem's bytes and
-    // publish the pasa_mem_bytes gauges so the scrape sees current numbers.
-    if (obs::MemoryAccounting()) {
-      RefreshMemoryStats();
-      csp_->ReportMemory(obs::MemoryAccountant::Global());
-      obs::ReportObsMemory(obs::MemoryAccountant::Global());
-      obs::MemoryAccountant::Global().PublishGauges(
-          obs::MetricsRegistry::Global());
-    }
+    RefreshMemoryTelemetry();
     content_type = "text/plain; version=0.0.4; charset=utf-8";
     body = obs::ExportPrometheus(obs::FullSnapshot(), options_.exemplars);
   } else if (request.path == "/healthz") {
@@ -864,17 +845,12 @@ void NetServer::HandleAdminRequest(Conn* conn, const HttpRequest& request) {
                   static_cast<unsigned long long>(admin_connections_.load()));
     body = line;
   } else if (request.path == "/memory") {
-    // Per-subsystem memory accounting, refreshed at scrape time from every
-    // long-lived structure (pull model: nothing on the serving hot path).
     content_type = "application/json";
-    obs::MemoryAccountant& accountant = obs::MemoryAccountant::Global();
-    RefreshMemoryStats();
-    csp_->ReportMemory(accountant);
-    obs::ReportObsMemory(accountant);
-    accountant.PublishGauges(obs::MetricsRegistry::Global());
-    body = accountant.ExportJson(csp_->snapshot().size());
+    RefreshMemoryTelemetry();
+    body = obs::MemoryAccountant::Global().ExportJson(csp_->snapshot().size());
   } else if (request.path == "/vars") {
     content_type = "application/json";
+    RefreshMemoryTelemetry();
     body = obs::ExportJson(obs::FullSnapshot());
   } else if (request.path == "/slo") {
     body = SloBurnTable();
@@ -884,19 +860,8 @@ void NetServer::HandleAdminRequest(Conn* conn, const HttpRequest& request) {
     content_type = "application/json";
     body = obs::TailTraceRing::Global().ExportJson();
   } else if (request.path == "/profile") {
-    // Collapsed-stack folded text over the trailing ?seconds=N of the
-    // always-on profiler ring (everything retained when absent); reading
-    // back recorded samples, so the event loop never blocks here.
-    double seconds = 0.0;
-    const auto it = request.query.find("seconds");
-    if (it != request.query.end()) seconds = std::atof(it->second.c_str());
-    if (!obs::Profiler::Global().armed() &&
-        obs::Profiler::Global().samples_taken() == 0) {
-      status = 404;
-      body = "profiler is not armed (serve with --profile-hz > 0)\n";
-    } else {
-      body = obs::Profiler::Global().Collapsed(seconds);
-    }
+    // Folded span self times since start; a window is two scrapes' diff.
+    body = obs::ExportFolded(obs::MetricsRegistry::Global().Snapshot());
   } else {
     status = 404;
     body = "unknown admin path: try /metrics /healthz /slo /vars /trace "

@@ -197,11 +197,11 @@ class NetServer {
   /// net/loop_lag_seconds histogram, the sliding windows and the
   /// net/loop_saturation SLO.
   void RecordLoopTick(double busy_seconds);
-  /// Refreshes the accountant's net/* counters (connection buffers and
-  /// pending payload bytes) from live state. Cheap (one pass over conns_),
-  /// so it runs both at scrape time and periodically from the loop while
-  /// accounting is armed.
-  void RefreshMemoryStats();
+  /// Pulls every subsystem's bytes into the global accountant (the net/*
+  /// counters from conns_ and pending_, the CSP's and the obs rings' from
+  /// their ApproxBytes) and publishes the mem/* gauges. Run by each admin
+  /// read that shows memory (/metrics, /memory, /vars), never by the loop.
+  void RefreshMemoryTelemetry();
   void HandleListener();
   /// Accepts admin-plane connections: never rejected for max_connections
   /// (the operator plane must stay reachable under overload).
@@ -252,9 +252,7 @@ class NetServer {
   std::unique_ptr<Poller> poller_;
   std::map<int, Conn> conns_;             ///< by fd; loop thread only
   std::map<uint64_t, int> fd_of_conn_;    ///< conn id -> fd; loop thread only
-  /// Loop thread only. The accounting allocator self-charges the queue's
-  /// node storage to the net/pending_queue subsystem counter.
-  std::deque<Pending, obs::AccountingAllocator<Pending>> pending_;
+  std::deque<Pending> pending_;  ///< loop thread only
   /// Connections the loop owes a flush without waiting for the poller (the
   /// remainders of net/torn_write tears), by conn id (Conn::dirty
   /// dedupes). Loop thread only.

@@ -1,6 +1,8 @@
 #include "obs/export.h"
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -432,6 +434,22 @@ std::string ExportPrometheus(const MetricsSnapshot& snapshot,
               name.c_str(), slo.slow_total);
     }
   }
+  return out;
+}
+
+std::string ExportFolded(const MetricsSnapshot& snapshot) {
+  std::vector<std::string> lines;
+  for (const auto& [path, span] : snapshot.spans) {
+    const long long micros = std::llround(span.self_seconds * 1e6);
+    if (micros <= 0) continue;
+    std::string line = path;
+    std::replace(line.begin(), line.end(), '/', ';');
+    AppendF(&line, " %lld\n", micros);
+    lines.push_back(std::move(line));
+  }
+  std::sort(lines.begin(), lines.end());
+  std::string out;
+  for (const std::string& line : lines) out += line;
   return out;
 }
 

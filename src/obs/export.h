@@ -62,6 +62,18 @@ std::string ExportJson(const MetricsSnapshot& snapshot);
 std::string ExportPrometheus(const MetricsSnapshot& snapshot,
                              bool include_exemplars = false);
 
+/// Serializes the snapshot's span self times as collapsed-stack folded text
+/// (flamegraph.pl / speedscope), the GET /profile body: one
+/// `frame;frame;frame <self microseconds>` line per span path whose self
+/// time rounds to at least 1 us, the path's '/' separators turned into ';',
+/// lines sorted. Self time excludes every span that closed inside the span
+/// on the same thread, so the weights add up to the instrumented time
+/// without double counting; a kRoot-anchored span folds under its own path
+/// only and is subtracted from its caller. Totals are cumulative since
+/// start (or the last Reset): a profile over a window is the difference of
+/// two scrapes, or rate(pasa_span_seconds_total[N]).
+std::string ExportFolded(const MetricsSnapshot& snapshot);
+
 /// Validates `text` against the Prometheus text exposition format: every
 /// line must be a #-comment (with well-formed `# TYPE` / `# HELP` shapes), a
 /// blank line, or a `name{labels} value [timestamp]` sample with legal

@@ -7,7 +7,6 @@
 
 #include "common/table.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/provenance.h"
 #include "obs/tail_trace.h"
 #include "obs/trace_sink.h"
@@ -132,8 +131,6 @@ void ReportObsMemory(MemoryAccountant& accountant) {
       .Set(TraceEventSink::Global().ApproxBytes());
   accountant.GetCounter("obs/tail_trace")
       .Set(TailTraceRing::Global().ApproxBytes());
-  accountant.GetCounter("obs/profiler")
-      .Set(Profiler::Global().ApproxBytes());
 }
 
 }  // namespace obs

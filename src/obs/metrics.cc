@@ -91,9 +91,10 @@ void Histogram::Reset() {
   exemplars_.clear();
 }
 
-void SpanStats::Record(double seconds, uint64_t count) {
+void SpanStats::Record(double seconds, uint64_t count, double self_seconds) {
   count_.fetch_add(count, std::memory_order_relaxed);
   total_seconds_.fetch_add(seconds, std::memory_order_relaxed);
+  self_seconds_.fetch_add(self_seconds, std::memory_order_relaxed);
   if (!any_.exchange(true, std::memory_order_relaxed)) {
     // First recorder seeds min/max; racing recorders fold below, so the
     // worst case is a transiently widened min (0.0) never a lost update.
@@ -120,6 +121,7 @@ double SpanStats::max_seconds() const {
 void SpanStats::Reset() {
   count_.store(0, std::memory_order_relaxed);
   total_seconds_.store(0.0, std::memory_order_relaxed);
+  self_seconds_.store(0.0, std::memory_order_relaxed);
   min_seconds_.store(0.0, std::memory_order_relaxed);
   max_seconds_.store(0.0, std::memory_order_relaxed);
   any_.store(false, std::memory_order_relaxed);
@@ -273,6 +275,7 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     MetricsSnapshot::SpanData data;
     data.count = s->count();
     data.total_seconds = s->total_seconds();
+    data.self_seconds = s->self_seconds();
     const double mn = s->min_seconds();
     const double mx = s->max_seconds();
     data.min_seconds = std::isnan(mn) ? 0.0 : mn;

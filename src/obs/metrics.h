@@ -110,14 +110,24 @@ class Histogram {
 
 /// Aggregate of every completed span (or recorded phase) with one path,
 /// e.g. "bulk_dp/temp_convolution". Min/max are maintained with CAS loops.
+///
+/// Self seconds are the part of a span's time not spent in spans that
+/// closed inside it on the same thread; ScopedSpan books them, and
+/// ExportFolded turns them into the /profile flamegraph. A phase recorded
+/// through RecordSpan books none: its time is already the self time of the
+/// span open around it.
 class SpanStats {
  public:
-  /// Folds `seconds` of work covering `count` units into the aggregate.
-  void Record(double seconds, uint64_t count = 1);
+  /// Folds `seconds` of work covering `count` units, `self_seconds` of it
+  /// outside child spans, into the aggregate.
+  void Record(double seconds, uint64_t count = 1, double self_seconds = 0.0);
 
   uint64_t count() const { return count_.load(std::memory_order_relaxed); }
   double total_seconds() const {
     return total_seconds_.load(std::memory_order_relaxed);
+  }
+  double self_seconds() const {
+    return self_seconds_.load(std::memory_order_relaxed);
   }
   /// NaN before the first Record.
   double min_seconds() const;
@@ -127,6 +137,7 @@ class SpanStats {
  private:
   std::atomic<uint64_t> count_{0};
   std::atomic<double> total_seconds_{0.0};
+  std::atomic<double> self_seconds_{0.0};
   std::atomic<bool> any_{false};
   std::atomic<double> min_seconds_{0.0};
   std::atomic<double> max_seconds_{0.0};
@@ -175,6 +186,7 @@ struct MetricsSnapshot {
     double total_seconds = 0.0;
     double min_seconds = 0.0;
     double max_seconds = 0.0;
+    double self_seconds = 0.0;  ///< not printed by ExportJson/Prometheus
   };
   std::map<std::string, uint64_t> counters;
   std::map<std::string, double> gauges;

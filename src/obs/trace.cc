@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "obs/profile.h"
 #include "obs/trace_context.h"
 #include "obs/trace_sink.h"
 
@@ -10,8 +9,14 @@ namespace pasa {
 namespace obs {
 namespace {
 
-// Stack of full paths of the spans open on this thread, innermost last.
-thread_local std::vector<std::string> tls_span_stack;
+// The spans open on this thread, innermost last: each one's full path and
+// the seconds of every span that closed directly inside it (its children,
+// whatever their anchor), so a closing span can book its self time.
+struct OpenSpan {
+  std::string path;
+  double child_seconds = 0.0;
+};
+thread_local std::vector<OpenSpan> tls_span_stack;
 const std::string kEmptyPath;
 
 }  // namespace
@@ -20,16 +25,15 @@ ScopedSpan::ScopedSpan(std::string_view name, Anchor anchor) {
   if (!Enabled()) return;
   active_ = true;
   if (anchor == kNested && !tls_span_stack.empty()) {
-    path_.reserve(tls_span_stack.back().size() + 1 + name.size());
-    path_ = tls_span_stack.back();
+    const std::string& parent = tls_span_stack.back().path;
+    path_.reserve(parent.size() + 1 + name.size());
+    path_ = parent;
     path_ += '/';
     path_ += name;
   } else {
     path_ = std::string(name);
   }
-  tls_span_stack.push_back(path_);
-  // One relaxed load while the profiler is disarmed (the common case).
-  if (ProfilerArmed()) ProfilerPublishPath(path_);
+  tls_span_stack.push_back(OpenSpan{path_});
   // One thread-local read while no distributed trace is active (the common
   // case); with a context, take over as the innermost span.
   if (TraceContext* ctx = MutableCurrentTraceContext()) {
@@ -66,11 +70,9 @@ ScopedSpan::~ScopedSpan() {
       sink.Record(TraceEvent::Type::kEnd, path_);
     }
   }
+  const double self_seconds = seconds - tls_span_stack.back().child_seconds;
   tls_span_stack.pop_back();
-  if (ProfilerArmed()) {
-    ProfilerPublishPath(tls_span_stack.empty() ? kEmptyPath
-                                               : tls_span_stack.back());
-  }
+  if (!tls_span_stack.empty()) tls_span_stack.back().child_seconds += seconds;
   if (trace_id_ != 0) {
     if (TraceContext* ctx = MutableCurrentTraceContext()) {
       ctx->span_id = parent_span_id_;
@@ -85,11 +87,12 @@ ScopedSpan::~ScopedSpan() {
   }
   // Record directly (not via RecordSpan) so a span that was open when the
   // layer got disabled still reports its measured time.
-  MetricsRegistry::Global().GetSpanStats(path_).Record(seconds);
+  MetricsRegistry::Global().GetSpanStats(path_).Record(seconds, 1,
+                                                       self_seconds);
 }
 
 const std::string& CurrentSpanPath() {
-  return tls_span_stack.empty() ? kEmptyPath : tls_span_stack.back();
+  return tls_span_stack.empty() ? kEmptyPath : tls_span_stack.back().path;
 }
 
 }  // namespace obs

@@ -11,8 +11,10 @@ namespace pasa {
 namespace obs {
 
 /// RAII phase timer that folds its lifetime into the global registry's span
-/// aggregate. Spans nest per thread: a span opened while another is active
-/// on the same thread records under "<parent_path>/<name>", so
+/// aggregate, together with its self time: the lifetime minus that of every
+/// span that closed inside it on the same thread (what GET /profile folds,
+/// see ExportFolded). Spans nest per thread: a span opened while another is
+/// active on the same thread records under "<parent_path>/<name>", so
 ///
 ///   ScopedSpan outer("csp/advance_snapshot", ScopedSpan::kRoot);
 ///   ScopedSpan inner("repair");   // records as csp/advance_snapshot/repair

@@ -14,7 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,8 +29,8 @@
 #include "net/wire.h"
 #include "obs/export.h"
 #include "obs/json.h"
+#include "obs/mem.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/tail_trace.h"
@@ -948,6 +950,30 @@ TEST(NetServerAdminTest, MemoryEndpointReportsSubsystemFootprints) {
   fx.server->Stop();
 }
 
+// /vars derives the mem/* gauges at read time like /metrics and /memory,
+// so even a fresh server's first scrape carries current byte counts.
+TEST(NetServerAdminTest, VarsFirstScrapeCarriesMemoryGauges) {
+  Fixture fx(/*k=*/10, WithAdminPlane());
+  obs::MetricsRegistry::Global().Reset();
+  obs::MemoryAccountant::Global().Reset();
+
+  Result<HttpResponse> response = HttpGet(fx.server->admin_port(), "/vars");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->status, 200);
+  const Result<obs::json::Value> doc = obs::json::Parse(response->body);
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const obs::json::Value* gauges = doc->Find("gauges");
+  ASSERT_NE(gauges, nullptr);
+  const obs::json::Value* total = gauges->Find("mem/total_bytes");
+  ASSERT_NE(total, nullptr) << response->body;
+  EXPECT_GT(total->number(), 0.0);
+  const obs::json::Value* snapshot = gauges->Find(
+      obs::LabeledName("mem/bytes", {{"subsystem", "csp/snapshot"}}));
+  ASSERT_NE(snapshot, nullptr) << response->body;
+  EXPECT_GT(snapshot->number(), 0.0);
+  fx.server->Stop();
+}
+
 TEST(NetServerAdminTest, LoopSaturationMetricsVisibleAfterTraffic) {
   Fixture fx(/*k=*/10, WithAdminPlane());
   const uint16_t admin = fx.server->admin_port();
@@ -1068,36 +1094,55 @@ TEST(NetServerAdminTest, IdleServerClearsItsLoopSaturationAlert) {
   slo.Configure({});
 }
 
-TEST(NetServerAdminTest, ProfileEndpointReportsArmedStateAndStacks) {
+// The folded weight of `frames` ("a;b;c") in a /profile body, or -1.
+long long FoldedWeight(const std::string& body, const std::string& frames) {
+  const std::string lines = "\n" + body;
+  const std::string needle = "\n" + frames + " ";
+  const size_t at = lines.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::atoll(lines.c_str() + at + needle.size());
+}
+
+TEST(NetServerAdminTest, ProfileEndpointFoldsSpanSelfTimes) {
   Fixture fx(/*k=*/10, WithAdminPlane());
   const uint16_t admin = fx.server->admin_port();
+  obs::MetricsRegistry::Global().Reset();
 
-  // Disarmed and never sampled: a clear 404, not an empty 200.
-  ASSERT_FALSE(obs::Profiler::Global().armed());
-  obs::Profiler::Global().Reset();
-  if (obs::Profiler::Global().samples_taken() == 0) {
-    Result<HttpResponse> cold = HttpGet(admin, "/profile");
-    ASSERT_TRUE(cold.ok());
-    EXPECT_EQ(cold->status, 404);
-    EXPECT_NE(cold->body.find("not armed"), std::string::npos);
-  }
-
-  // Armed without a sampler thread: drive one deterministic sample from
-  // this thread's span stack; /profile must fold it.
-  obs::ProfilerOptions options;
-  options.hz = 0.0;
-  ASSERT_TRUE(obs::Profiler::Global().Start(options).ok());
+  // `work` holds a nested child and a kRoot-anchored span; both close
+  // inside it on this thread, so both come off its self time.
   {
-    obs::ScopedSpan span("admin_test/work", obs::ScopedSpan::kRoot);
-    ASSERT_GE(obs::Profiler::Global().SampleOnce(1), 1u);
+    obs::ScopedSpan work("admin_test/work", obs::ScopedSpan::kRoot);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    {
+      obs::ScopedSpan child("child");
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+    {
+      obs::ScopedSpan other("other", obs::ScopedSpan::kRoot);
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
   }
-  Result<HttpResponse> hot = HttpGet(admin, "/profile");
-  ASSERT_TRUE(hot.ok());
-  EXPECT_EQ(hot->status, 200);
-  EXPECT_NE(hot->body.find("admin_test;work"), std::string::npos)
-      << hot->body;
-  obs::Profiler::Global().Stop();
-  obs::Profiler::Global().Reset();
+  Result<HttpResponse> response = HttpGet(admin, "/profile");
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, 200);
+  const std::string& body = response->body;
+  const long long work = FoldedWeight(body, "admin_test;work");
+  const long long child = FoldedWeight(body, "admin_test;work;child");
+  const long long other = FoldedWeight(body, "other");
+  EXPECT_GT(work, 0) << body;
+  EXPECT_GE(child, 20'000) << body;
+  EXPECT_GE(other, 20'000) << body;
+
+  // work's weight is its total minus both children's, not its total.
+  const obs::MetricsSnapshot snapshot =
+      obs::MetricsRegistry::Global().Snapshot();
+  const double expected_self =
+      snapshot.spans.at("admin_test/work").total_seconds -
+      snapshot.spans.at("admin_test/work/child").total_seconds -
+      snapshot.spans.at("other").total_seconds;
+  EXPECT_NEAR(static_cast<double>(work), expected_self * 1e6, 1.0) << body;
+  EXPECT_LT(work, child) << body;
+  EXPECT_LT(work, other) << body;
   fx.server->Stop();
 }
 

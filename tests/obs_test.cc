@@ -216,6 +216,53 @@ TEST_F(ObsTest, JsonExportRoundTrip) {
   EXPECT_EQ(json, ExportJson(registry.Snapshot()));
 }
 
+TEST_F(ObsTest, ExportFoldedWritesSortedSelfTimes) {
+  MetricsSnapshot snapshot;
+  auto self = [&](const std::string& path, double seconds) {
+    snapshot.spans[path].count = 1;
+    snapshot.spans[path].total_seconds = 1.0;
+    snapshot.spans[path].self_seconds = seconds;
+  };
+  self("csp/handle", 250e-6);
+  self("bulk_dp", 1500e-6);
+  self("bulk_dp/leaf_init", 0.0);  // a RecordSpan phase: no self time
+  self("a/b", 1e-6);
+  self("a:x", 3e-6);  // sorts before "a;b" once '/' becomes ';'
+  self("tiny", 0.4e-6);  // rounds to 0 us
+  EXPECT_EQ(ExportFolded(snapshot),
+            "a:x 3\n"
+            "a;b 1\n"
+            "bulk_dp 1500\n"
+            "csp;handle 250\n");
+  EXPECT_EQ(ExportFolded(MetricsSnapshot{}), "");
+  // The other exporters do not print self time.
+  EXPECT_EQ(ExportJson(snapshot).find("self"), std::string::npos);
+  EXPECT_EQ(ExportPrometheus(snapshot).find("self"), std::string::npos);
+}
+
+TEST_F(ObsTest, ScopedSpanBooksSelfTimeNetOfChildren) {
+  {
+    ScopedSpan outer("outer", ScopedSpan::kRoot);
+    { ScopedSpan inner("inner"); }
+    { ScopedSpan rooted("rooted", ScopedSpan::kRoot); }
+  }
+  const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  const auto& outer = snapshot.spans.at("outer");
+  const auto& inner = snapshot.spans.at("outer/inner");
+  const auto& rooted = snapshot.spans.at("rooted");
+  EXPECT_DOUBLE_EQ(inner.self_seconds, inner.total_seconds);
+  EXPECT_DOUBLE_EQ(rooted.self_seconds, rooted.total_seconds);
+  EXPECT_NEAR(outer.self_seconds,
+              outer.total_seconds - inner.total_seconds -
+                  rooted.total_seconds,
+              1e-12);
+  // A RecordSpan phase books no self time.
+  MetricsRegistry::Global().RecordSpan("obs_test/phase", 2.0);
+  EXPECT_EQ(MetricsRegistry::Global().Snapshot().spans.at("obs_test/phase")
+                .self_seconds,
+            0.0);
+}
+
 TEST_F(ObsTest, PrometheusExportSanitizesAndCumulates) {
   auto& registry = MetricsRegistry::Global();
   registry.GetCounter("obs_test/hits").Increment(3);

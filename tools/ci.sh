@@ -11,7 +11,7 @@
 # BENCH_smoke.json and self-compares it, which must pass, then compares
 # loosely against the committed bench/baseline snapshots). The net leg additionally smoke-tests the HTTP admin plane:
 # /metrics is format-checked and cross-checked against loadgen's client-side
-# count, and /profile must name the Bulk_dp spans sampled at startup. A
+# count, and /profile must name the Bulk_dp spans recorded at startup. A
 # final traced leg runs loadgen and the server with tracing armed on both
 # sides and asserts one trace id end to end: /trace, the client latency
 # log, the /metrics exemplars, and the trace-merge'd Perfetto timeline.
@@ -101,17 +101,16 @@ if [[ "${PASA_CI_SKIP_TSAN:-0}" != "1" ]]; then
         --target chaos_test parallel_test trace_sink_test \
                  trace_context_test tail_trace_test \
                  provenance_test window_test slo_test \
-                 net_wire_test net_server_test profile_test
+                 net_wire_test net_server_test
   # The threaded suites: jurisdiction workers + fault injector (chaos),
   # the worker pool itself (parallel), the concurrent trace ring, the
   # lock-light obs v3 primitives (provenance ring, windows, SLO tracker),
-  # the network front end (event loop vs client threads), and the
-  # span-sampling profiler (sampler thread vs instrumented threads).
+  # and the network front end (event loop vs client threads).
   # The chaos suite widens its seed sweep here (8 seeds instead of the
   # local default 3) — TSan is where extra schedules pay off.
   PASA_CHAOS_SEEDS=8 \
   ctest --test-dir "${prefix}-tsan" --output-on-failure -j "${jobs}" \
-        -R 'Chaos|Parallel|TraceSink|TraceContext|TailTrace|Provenance|Window|Slo|NetWire|NetServer|Profiler'
+        -R 'Chaos|Parallel|TraceSink|TraceContext|TailTrace|Provenance|Window|Slo|NetWire|NetServer'
 else
   step "tsan build skipped (PASA_CI_SKIP_TSAN=1)"
 fi
@@ -119,9 +118,8 @@ fi
 if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   step "overhead gate (scale ${overhead_scale})"
   # Exits non-zero when any gated row costs more than 5%: the obs metrics
-  # kill switch and the armed profiler on Bulk_dp; the quiet-plan fault
-  # injector, the disarmed provenance/window/SLO/tail-trace stack and the
-  # armed memory accountant on the CSP request path.
+  # kill switch on Bulk_dp; the quiet-plan fault injector and the disarmed
+  # provenance/window/SLO/tail-trace stack on the CSP request path.
   PASA_BENCH_SCALE="${overhead_scale}" "${prefix}-release/bench/bench_overhead"
 
   step "memory footprint benchstat (BENCH_footprint.json)"
@@ -163,9 +161,8 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   # and writes a latency-denominated snapshot (seconds per request, p99)
   # that the benchstat gate can compare across builds. Self-compare here
   # proves the gate wiring; a perf branch compares against a saved baseline.
-  # The serve process also opens the HTTP admin plane and arms the profiler
-  # (1997 Hz: fast enough to catch the ~10ms Bulk_dp build), so the same
-  # run verifies the telemetry endpoints against live traffic.
+  # The serve process also opens the HTTP admin plane, so the same run
+  # verifies the telemetry endpoints against live traffic.
   net_port="${PASA_CI_NET_PORT:-19575}"
   admin_port="${PASA_CI_ADMIN_PORT:-19576}"
   net_locs="${prefix}-release/tools/net_ci_locations.csv"
@@ -173,7 +170,7 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
       --out "${net_locs}"
   "${prefix}-release/tools/pasa_cli" serve --in "${net_locs}" --k 50 \
       --listen "${net_port}" --listen-duration 120 \
-      --admin-port "${admin_port}" --profile-hz 1997 &
+      --admin-port "${admin_port}" &
   serve_pid=$!
   # The main run keeps the server alive (no --shutdown) and cross-checks its
   # client-side dispatched count against the scraped pasa_net_requests_served
@@ -183,8 +180,8 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
       --wait-ready-seconds 30 --admin-port "${admin_port}" \
       --benchstat-out "${prefix}-release/BENCH_net.json"
   # /metrics must be valid Prometheus exposition text, /healthz must answer,
-  # and /profile must contain folded stacks naming the Bulk_dp phase spans
-  # sampled during the policy build.
+  # and /profile must contain folded stacks naming the Bulk_dp spans
+  # recorded during the policy build (span self times, no profiling flag).
   "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
       --path /metrics --check 1 > /dev/null
   "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \

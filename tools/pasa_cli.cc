@@ -68,15 +68,12 @@
 //                             seeded fault schedule (see docs/robustness.md)
 //   --fault-seed N            override the plan's seed for replaying a
 //                             specific chaos schedule
-//   --profile-hz HZ           arm the always-on span-sampling profiler at
-//                             HZ samples/s before the subcommand runs
-//   --profile-out FILE        write the profiler's collapsed stacks
-//                             (flamegraph.pl/speedscope folded format) and
-//                             self-time table on exit; implies --profile-hz
-//                             97 when not given
+//   --profile-out FILE        write the span self times as collapsed
+//                             stacks (flamegraph.pl/speedscope folded
+//                             format) on exit, the GET /profile body
 // serve with --listen additionally accepts --admin-port P: a second
 // loopback listener serving live HTTP telemetry (GET /metrics, /healthz,
-// /slo, /vars, /memory, /profile?seconds=N) on the same event loop; 0 picks a free
+// /slo, /vars, /memory, /profile) on the same event loop; 0 picks a free
 // port. `pasa_cli scrape --port P` fetches one admin target and --check 1
 // validates /metrics against the Prometheus text format.
 // serve always arms the windowed telemetry and SLO burn-rate tracker;
@@ -115,7 +112,6 @@
 #include "net/http.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
-#include "obs/profile.h"
 #include "obs/provenance.h"
 #include "obs/slo.h"
 #include "obs/trace.h"
@@ -184,8 +180,7 @@ int Usage() {
       "  --log-level LEVEL        debug|info|warn|error|off\n"
       "  --fault-plan FILE.json   arm the deterministic fault injector\n"
       "  --fault-seed N           override the fault plan's seed\n"
-      "  --profile-hz HZ          arm the span-sampling profiler at HZ/s\n"
-      "  --profile-out FILE       write collapsed stacks + self-time table "
+      "  --profile-out FILE       write span self times as folded stacks "
       "on exit\n");
   return 2;
 }
@@ -788,7 +783,6 @@ int RunMemstats(const Flags& flags) {
   if (!csp.ok()) return Fail(csp.status());
 
   obs::MemoryAccountant& accountant = obs::MemoryAccountant::Global();
-  accountant.Enable();
   csp->ReportMemory(accountant);
   obs::ReportObsMemory(accountant);
   std::printf("%s", accountant.SummaryTable().c_str());
@@ -1191,24 +1185,6 @@ int main(int argc, char** argv) {
     obs::LogInfo("cli", "slo config loaded: %zu objective(s) from %s",
                  objectives->size(), flags.GetString("slo-config").c_str());
   }
-  // Arm the profiler before the subcommand runs so even the startup phases
-  // (serve's initial Bulk_dp policy build) get sampled.
-  const bool profiling =
-      flags.Has("profile-hz") || flags.Has("profile-out");
-  if (profiling) {
-    obs::ProfilerOptions profile_options;
-    profile_options.hz = flags.GetDouble("profile-hz", 97.0);
-    if (profile_options.hz <= 0.0) {
-      std::fprintf(stderr, "error: --profile-hz must be > 0\n");
-      return Usage();
-    }
-    const Status s = obs::Profiler::Global().Start(profile_options);
-    if (!s.ok()) {
-      std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
-      return 1;
-    }
-    obs::LogInfo("cli", "profiler armed at %.1f Hz", profile_options.hz);
-  }
   const std::string audit_mode = flags.GetString("audit-mode", "ring");
   if (audit_mode != "ring" && audit_mode != "stream") {
     std::fprintf(stderr, "error: --audit-mode must be ring or stream\n");
@@ -1268,27 +1244,16 @@ int main(int argc, char** argv) {
   } else {
     return Usage();
   }
-  if (profiling) {
-    obs::Profiler& profiler = obs::Profiler::Global();
-    profiler.Stop();
-    if (flags.Has("profile-out")) {
-      const std::string path = flags.GetString("profile-out");
-      std::FILE* f = std::fopen(path.c_str(), "w");
-      if (f == nullptr) {
-        Fail(Status::Internal("cannot write profile to " + path));
-        if (rc == 0) rc = 1;
-      } else {
-        const std::string folded = profiler.CollapsedSince(0);
-        std::fwrite(folded.data(), 1, folded.size(), f);
-        std::fclose(f);
-        obs::LogInfo(
-            "cli", "wrote %llu profile sample(s) to %s",
-            static_cast<unsigned long long>(profiler.samples_taken()),
-            path.c_str());
-      }
+  if (flags.Has("profile-out")) {
+    const std::string path = flags.GetString("profile-out");
+    const Status s = obs::WriteTextFile(
+        path, obs::ExportFolded(obs::MetricsRegistry::Global().Snapshot()));
+    if (!s.ok()) {
+      Fail(s);
+      if (rc == 0) rc = 1;
+    } else {
+      obs::LogInfo("cli", "wrote span self-time profile to %s", path.c_str());
     }
-    std::printf("\nprofile self-time (sampled spans):\n%s",
-                profiler.SelfTimeTableSince(0).c_str());
   }
   if (auditing) {
     obs::ProvenanceRing& ring = obs::ProvenanceRing::Global();
