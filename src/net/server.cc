@@ -289,12 +289,7 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
        .target = 0.99,
        .latency_threshold_seconds = 0.025});
 
-  if (options.tail_traces) {
-    obs::TailTraceRing::Options ring;
-    ring.slowest_capacity = options.tail_slowest;
-    ring.window_seconds = options.tail_window_seconds;
-    obs::TailTraceRing::Global().Enable(ring);
-  }
+  obs::TailTraceRing::Global().Enable();
 
   server->started_at_ = std::chrono::steady_clock::now();
   server->loop_ = std::thread(&NetServer::Loop, server.get());
@@ -767,7 +762,7 @@ namespace {
 std::string SloBurnTable() {
   const obs::MetricsSnapshot snapshot = obs::FullSnapshot();
   if (snapshot.slos.empty()) {
-    return "no SLO objectives armed (serve with --slo tracking enabled)\n";
+    return "no SLO objectives armed (serve with --slo-config FILE.json)\n";
   }
   TablePrinter table({"slo", "kind", "target", "fast_burn", "slow_burn",
                       "alerting", "fired", "resolved"});
@@ -921,29 +916,23 @@ void NetServer::Dispatch(const Pending& pending) {
   // sent one, otherwise originate a trace locally while a trace consumer
   // (tail ring or timeline sink) is armed. With neither, the request stays
   // untraced and the extra cost here is two relaxed loads.
-  obs::TailTraceRing& tail_ring = obs::TailTraceRing::Global();
   obs::TraceContext ctx;
   if (pending.frame.has_trace) {
     ctx.trace_id = pending.frame.trace_id;
     ctx.span_id = pending.frame.parent_span_id;
-    ctx.sampled = pending.frame.trace_sampled;
     ctx.remote = true;
-  } else if (tail_ring.enabled() || obs::TraceEventSink::Global().active()) {
+  } else if (obs::TailTraceRing::Global().enabled() ||
+             obs::TraceEventSink::Global().active()) {
     ctx.trace_id = obs::NewTraceId();
-    ctx.sampled = true;
   }
   std::optional<obs::ScopedTraceContext> trace_scope;
-  obs::SpanCollector collector;
-  std::optional<obs::ScopedSpanCollector> collector_scope;
-  if (ctx.valid()) {
-    trace_scope.emplace(ctx);
-    if (tail_ring.enabled()) collector_scope.emplace(&collector);
-  }
+  if (ctx.valid()) trace_scope.emplace(ctx);
 
   // A serve or anonymize request carries one record from here to
   // FinishRequest, which derives its histograms, windows, SLO records,
-  // tail-trace offer and audit line. CspServer's nested scope annotates
-  // this record. A snapshot advance is not a request and opens none.
+  // tail-trace offer and audit line. The record collects the request's
+  // span tree while the tail ring is armed, and CspServer's nested scope
+  // annotates it. A snapshot advance is not a request and opens none.
   std::optional<obs::ScopedProvenanceRecord> prov;
   if (pending.frame.type != MsgType::kSnapshotAdvance) {
     prov.emplace();
@@ -959,7 +948,7 @@ void NetServer::Dispatch(const Pending& pending) {
   {
     // The server-side request span: everything below nests under it (the
     // cloak span in CspServer, the LBS span in the frontend), and its close
-    // lands the span tree in `collector` for the tail ring.
+    // completes the span tree on the record.
     std::optional<obs::ScopedSpan> dispatch_span;
     if (ctx.valid()) {
       dispatch_span.emplace("net/dispatch", obs::ScopedSpan::kRoot);
@@ -1065,7 +1054,7 @@ void NetServer::Dispatch(const Pending& pending) {
       }
     }
   }
-  if (prov.has_value()) prov->Finish(std::move(collector.spans));
+  if (prov.has_value()) prov->Finish();
   ++requests_served_;
   served.Increment();
   FlushConn(conn);

@@ -50,22 +50,13 @@ struct NetServerOptions {
   /// Request frames decoded while draining are rejected the same way
   /// instead of extending the drain. 0 fails the whole queue immediately.
   double drain_deadline_seconds = 1.0;
-  /// Always-on tail-trace capture: arms the global obs::TailTraceRing so
-  /// every dispatched request is traced (adopting the client's wire context
-  /// when present, originating one otherwise) and its complete span tree
-  /// competes for the slowest-N sliding window, served at GET /trace and by
-  /// `pasa_cli slowest`. Anomalous (non-served) requests are always kept.
-  bool tail_traces = true;
-  /// N slowest requests retained per window.
-  size_t tail_slowest = 8;
-  double tail_window_seconds = 60.0;
   /// Emits OpenMetrics exemplars on /metrics histogram buckets, pointing at
   /// the trace id of each bucket's slowest traced request.
   bool exemplars = false;
   /// Admin (operator) plane: when >= 0, a second loopback listener on this
   /// port (0 picks a free one, read back via admin_port()) serves HTTP GETs
-  /// on the same event loop — /metrics, /healthz, /slo, /vars, /trace,
-  /// /profile?seconds=N. Admin traffic is operator plane throughout: its
+  /// on the same event loop — /metrics, /healthz, /slo, /vars, /memory,
+  /// /trace, /profile. Admin traffic is operator plane throughout: its
   /// connections do not count against max_connections, its requests are
   /// answered inline (never queued behind admission control), and the
   /// net/* fault injection points skip it, so telemetry stays reachable
@@ -88,10 +79,16 @@ struct NetServerOptions {
 ///
 /// With NetServerOptions::admin_port set, the same event loop additionally
 /// serves a live HTTP telemetry plane (GET /metrics, /healthz, /slo,
-/// /vars, /trace, /profile?seconds=N) on a second loopback listener; admin
-/// traffic
-/// follows the operator-plane bypass rules (no max_connections cap, no
-/// admission queue, no net/* fault injection).
+/// /vars, /memory, /trace, /profile) on a second loopback listener; admin
+/// traffic follows the operator-plane bypass rules (no max_connections
+/// cap, no admission queue, no net/* fault injection).
+///
+/// Tail-trace capture is always on: Start arms the global
+/// obs::TailTraceRing, so every dispatched request is traced (adopting the
+/// client's wire context when present, originating one otherwise) and its
+/// record and span tree compete for the ring's slowest-N window, served at
+/// GET /trace and by `pasa_cli slowest`. Anomalous (non-served) requests
+/// are always kept.
 ///
 /// Observability: per-connection/per-frame counters in the MetricsRegistry
 /// ("net/..."), and one ScopedProvenanceRecord per serve or anonymize

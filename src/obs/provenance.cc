@@ -121,6 +121,17 @@ void AddFaultFire(ProvenanceRecord* record, std::string_view point) {
   fires.insert(it, {std::string(point), 1});
 }
 
+uint64_t RecordApproxBytes(const ProvenanceRecord& record) {
+  uint64_t bytes = StringApproxBytes(record.status) +
+                   StringApproxBytes(record.tree_path);
+  bytes += static_cast<uint64_t>(record.fault_fires.capacity()) *
+           sizeof(std::pair<std::string, uint32_t>);
+  for (const auto& [point, fires] : record.fault_fires) {
+    bytes += StringApproxBytes(point);
+  }
+  return bytes;
+}
+
 std::string ProvenanceToJsonl(const ProvenanceRecord& r) {
   std::string out = "{";
   AppendInt(&out, "rid", r.rid);
@@ -356,15 +367,7 @@ uint64_t ProvenanceRing::ApproxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t bytes =
       static_cast<uint64_t>(ring_.capacity()) * sizeof(ProvenanceRecord);
-  for (const ProvenanceRecord& r : ring_) {
-    bytes += obs::StringApproxBytes(r.status) +
-             obs::StringApproxBytes(r.tree_path);
-    bytes += static_cast<uint64_t>(r.fault_fires.capacity()) *
-             sizeof(std::pair<std::string, uint32_t>);
-    for (const auto& [point, fires] : r.fault_fires) {
-      bytes += obs::StringApproxBytes(point);
-    }
-  }
+  for (const ProvenanceRecord& r : ring_) bytes += RecordApproxBytes(r);
   return bytes;
 }
 
@@ -462,13 +465,8 @@ void FinishRequest(ProvenanceRecord&& record,
   }
   TailTraceRing& tail = TailTraceRing::Global();
   if (record.trace_id != 0 && tail.enabled()) {
-    TailTrace trace;
-    trace.trace_id = record.trace_id;
-    trace.rid = record.rid;
-    trace.outcome = RequestOutcomeName(record.outcome);
-    trace.total_seconds = net ? net_seconds : record.total_seconds;
-    trace.spans = std::move(spans);
-    tail.Offer(std::move(trace));
+    tail.Offer(record, spans, net ? net_seconds : record.total_seconds,
+               now_micros);
   }
   ProvenanceRing::Global().Append(std::move(record));
 }
@@ -477,21 +475,33 @@ ScopedProvenanceRecord::ScopedProvenanceRecord()
     : outermost_(g_outermost == nullptr),
       request_(outermost_ ? &record_ : &g_outermost->record()) {
   if (!outermost_) return;
-  armed_ = ProvenanceRing::Global().enabled() ||
+  collects_spans_ = TailTraceRing::Global().enabled();
+  armed_ = collects_spans_ || ProvenanceRing::Global().enabled() ||
            WindowRegistry::Global().enabled() ||
-           SloTracker::Global().enabled() ||
-           TailTraceRing::Global().enabled();
+           SloTracker::Global().enabled();
   g_outermost = this;
   start_ = std::chrono::steady_clock::now();
 }
 
-void ScopedProvenanceRecord::Finish(std::vector<CollectedSpan> spans) {
+void ScopedProvenanceRecord::Finish() {
   if (g_outermost != this) return;
   g_outermost = nullptr;
   const auto end = std::chrono::steady_clock::now();
   record_.total_seconds =
       std::chrono::duration<double>(end - start_).count();
-  FinishRequest(std::move(record_), std::move(spans), SteadyMicros(end));
+  FinishRequest(std::move(record_), std::move(spans_), SteadyMicros(end));
+}
+
+void ScopedProvenanceRecord::CollectSpan(
+    uint64_t span_id, uint64_t parent_span_id, const std::string& path,
+    std::chrono::steady_clock::time_point start, double seconds) {
+  ScopedProvenanceRecord* scope = g_outermost;
+  if (scope == nullptr || !scope->collects_spans_) return;
+  scope->spans_.push_back(CollectedSpan{
+      span_id, parent_span_id, path,
+      std::chrono::duration<double, std::micro>(start - scope->start_)
+          .count(),
+      seconds * 1e6});
 }
 
 }  // namespace obs

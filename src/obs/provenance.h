@@ -98,9 +98,24 @@ struct ProvenanceRecord {
                          const ProvenanceRecord& b) = default;
 };
 
+/// One closed span of a traced request, as collected by the request's
+/// ScopedProvenanceRecord: enough to rebuild the span tree (parent links)
+/// with timings, without the TraceEventSink machinery.
+struct CollectedSpan {
+  uint64_t span_id = 0;
+  uint64_t parent_span_id = 0;  ///< 0 = root (or remote parent)
+  std::string path;
+  double start_micros = 0.0;  ///< relative to the record's open
+  double duration_micros = 0.0;
+};
+
 /// Counts one fire of `point` on the record, keeping fault_fires sorted by
 /// point name (which JSON-object round-trips preserve).
 void AddFaultFire(ProvenanceRecord* record, std::string_view point);
+
+/// Approximate heap bytes held by the record's strings and fault fires
+/// (not counting sizeof(ProvenanceRecord)) — memory accounting, obs/mem.h.
+uint64_t RecordApproxBytes(const ProvenanceRecord& record);
 
 /// One JSONL line (no trailing newline). Doubles use %.17g, so parsing the
 /// line back yields bit-identical values.
@@ -220,11 +235,15 @@ ProvenanceRecord* CurrentProvenance();
 ///     front end): net/serve_latency_seconds (decode + queue + total, with
 ///     the trace id as exemplar), net/queue_wait_seconds, their two windows
 ///     and the net/serve_latency SLO;
-///   - traced records: a tail-trace offer carrying `spans`;
+///   - traced records: an offer of the record and its `spans` to the
+///     tail-trace ring, keyed by the client-observed latency (the net
+///     latency above when the record has net phases, total_seconds
+///     otherwise);
 ///   - every record: the provenance ring, which takes `record` by move.
 /// `now_micros` (steady-clock micros, see NowMicros) is the time the
-/// windows and SLOs book the request at. Called once per request by
-/// ScopedProvenanceRecord::Finish; tests call it with explicit times.
+/// windows, the SLOs and the tail ring book the request at. Called once
+/// per request by ScopedProvenanceRecord::Finish; tests call it with
+/// explicit times.
 void FinishRequest(ProvenanceRecord&& record,
                    std::vector<CollectedSpan> spans, uint64_t now_micros);
 
@@ -235,8 +254,11 @@ void FinishRequest(ProvenanceRecord&& record,
 /// nothing, so the outermost entry point wins. The record always carries
 /// the phase timings the latency histograms derive from; it is exposed to
 /// lower layers via CurrentProvenance() only while a consumer is armed.
-/// Finish (or, failing that, the destructor) stamps total_seconds and hands
-/// the record to FinishRequest.
+/// While the tail-trace ring is armed, the outermost scope also collects
+/// the span tree of its traced request: every ScopedSpan with a trace id
+/// that closes inside the scope appends itself (CollectSpan). Finish
+/// (or, failing that, the destructor) stamps total_seconds and hands the
+/// record and its spans to FinishRequest.
 class ScopedProvenanceRecord {
  public:
   ScopedProvenanceRecord();
@@ -253,16 +275,32 @@ class ScopedProvenanceRecord {
   /// enclosing scope's otherwise. Entry points stamp phase timings here.
   ProvenanceRecord& record() { return *request_; }
 
+  /// The spans collected so far in close order, each child before its
+  /// parent (empty unless this is the outermost scope and the tail ring
+  /// was armed at open).
+  const std::vector<CollectedSpan>& spans() const { return spans_; }
+
   /// Outermost scope only: stamps total_seconds and calls FinishRequest
-  /// with the request's collected `spans`. Runs at most once; a nested
+  /// with the record and its collected spans. Runs at most once; a nested
   /// scope's call does nothing.
-  void Finish(std::vector<CollectedSpan> spans = {});
+  void Finish();
+
+  /// Appends one closed traced span (opened at `start`, open for
+  /// `seconds`) to the outermost record open on this thread, when that
+  /// record collects spans; otherwise a no-op. Called by ScopedSpan's
+  /// destructor.
+  static void CollectSpan(uint64_t span_id, uint64_t parent_span_id,
+                          const std::string& path,
+                          std::chrono::steady_clock::time_point start,
+                          double seconds);
 
  private:
   bool outermost_;
   bool armed_ = false;
+  bool collects_spans_ = false;
   ProvenanceRecord* request_;
   ProvenanceRecord record_;
+  std::vector<CollectedSpan> spans_;
   std::chrono::steady_clock::time_point start_;
 };
 

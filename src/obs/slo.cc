@@ -203,7 +203,7 @@ void SloTracker::EnsureObjective(const SloObjective& objective) {
   }
 }
 
-void SloTracker::Record(const std::string& name, bool good,
+void SloTracker::Record(std::string_view name, bool good,
                         uint64_t now_micros) {
   if (!enabled()) return;
   int transition = 0;
@@ -216,7 +216,7 @@ void SloTracker::Record(const std::string& name, bool good,
   if (transition != 0) EmitTransition(name, transition);
 }
 
-void SloTracker::RecordLatency(const std::string& name, double seconds,
+void SloTracker::RecordLatency(std::string_view name, double seconds,
                                uint64_t now_micros) {
   if (!enabled()) return;
   int transition = 0;
@@ -275,7 +275,8 @@ int SloTracker::EvaluateEntryLocked(Entry* entry, uint64_t now_micros,
   return transition;
 }
 
-void SloTracker::EmitTransition(const std::string& name, int transition) {
+void SloTracker::EmitTransition(std::string_view slo, int transition) {
+  const std::string name(slo);
   if (transition > 0) {
     LogWarn("slo", "burn-rate alert FIRED for %s", name.c_str());
     TraceInstant("slo/" + name + "/fired");

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -132,11 +133,11 @@ class SloTracker {
   /// Records one good/bad event for `name` at time `now_micros`
   /// and processes any alert transition. Unknown names and the disabled
   /// state are no-ops.
-  void Record(const std::string& name, bool good, uint64_t now_micros);
+  void Record(std::string_view name, bool good, uint64_t now_micros);
 
   /// Records one latency sample for a kLatency objective: good iff
   /// `seconds` <= its latency_threshold_seconds.
-  void RecordLatency(const std::string& name, double seconds,
+  void RecordLatency(std::string_view name, double seconds,
                      uint64_t now_micros);
 
   /// Evaluates every objective at `now_micros`, processing transitions
@@ -171,11 +172,13 @@ class SloTracker {
   /// SloState is built); returns the transition like EvaluateEntryLocked.
   int RecordEntryLocked(Entry* entry, bool good, uint64_t now_micros);
 
-  void EmitTransition(const std::string& name, int transition);
+  void EmitTransition(std::string_view slo, int transition);
 
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
-  std::map<std::string, std::unique_ptr<Entry>> entries_;
+  /// Transparent comparator: the per-request lookups take the SLO name as
+  /// a string_view and build no std::string.
+  std::map<std::string, std::unique_ptr<Entry>, std::less<>> entries_;
 };
 
 }  // namespace obs

@@ -5,28 +5,28 @@
 
 #include "obs/export.h"
 #include "obs/mem.h"
+#include "obs/window.h"
 
 namespace pasa {
 namespace obs {
 namespace {
 
-uint64_t WallMicrosNow() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::system_clock::now().time_since_epoch())
-          .count());
-}
-
-void AppendTrace(std::string* out, const TailTrace& trace) {
-  *out += "{\"trace_id\": \"" + TraceIdHex(trace.trace_id) + "\"";
-  *out += ", \"rid\": " + std::to_string(trace.rid);
-  *out += ", \"outcome\": \"" + JsonEscape(trace.outcome) + "\"";
-  *out += ", \"total_seconds\": " + JsonNumber(trace.total_seconds);
+// `completed_wall_micros` is the steady completion time moved onto the
+// wall clock by the two clocks' offset at export.
+void AppendTrace(std::string* out, const ProvenanceRecord& record,
+                 const std::vector<CollectedSpan>& spans, double seconds,
+                 int64_t completed_wall_micros) {
+  *out += "{\"trace_id\": \"" + TraceIdHex(record.trace_id) + "\"";
+  *out += ", \"rid\": " + std::to_string(record.rid);
+  *out += ", \"outcome\": \"";
+  *out += RequestOutcomeName(record.outcome);
+  *out += "\"";
+  *out += ", \"total_seconds\": " + JsonNumber(seconds);
   *out += ", \"completed_wall_micros\": " +
-          std::to_string(trace.completed_wall_micros);
+          std::to_string(completed_wall_micros);
   *out += ", \"spans\": [";
   bool first = true;
-  for (const CollectedSpan& span : trace.spans) {
+  for (const CollectedSpan& span : spans) {
     if (!first) *out += ", ";
     first = false;
     *out += "{\"span_id\": \"" + TraceIdHex(span.span_id) + "\"";
@@ -47,66 +47,53 @@ TailTraceRing& TailTraceRing::Global() {
   return *ring;
 }
 
-void TailTraceRing::Enable(const Options& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-  if (options_.slowest_capacity == 0) options_.slowest_capacity = 1;
-  if (options_.anomaly_capacity == 0) options_.anomaly_capacity = 1;
-  if (options_.window_seconds <= 0.0) options_.window_seconds = 60.0;
-  enabled_.store(true, std::memory_order_relaxed);
-}
-
-void TailTraceRing::Disable() {
-  enabled_.store(false, std::memory_order_relaxed);
-}
-
-void TailTraceRing::EvictExpiredLocked(uint64_t now_micros) {
-  const uint64_t window_micros =
-      static_cast<uint64_t>(options_.window_seconds * 1e6);
-  const uint64_t horizon =
-      now_micros > window_micros ? now_micros - window_micros : 0;
-  slowest_.erase(
-      std::remove_if(slowest_.begin(), slowest_.end(),
-                     [horizon](const TailTrace& t) {
-                       return t.completed_wall_micros < horizon;
-                     }),
-      slowest_.end());
-}
-
-void TailTraceRing::Offer(TailTrace trace) {
+void TailTraceRing::Offer(const ProvenanceRecord& record,
+                          const std::vector<CollectedSpan>& spans,
+                          double seconds, uint64_t now_micros) {
   if (!enabled()) return;
-  if (trace.completed_wall_micros == 0) {
-    trace.completed_wall_micros = WallMicrosNow();
-  }
   std::lock_guard<std::mutex> lock(mu_);
-  EvictExpiredLocked(trace.completed_wall_micros);
-  if (trace.outcome != "served") {
-    anomalies_.push_back(trace);
-    while (anomalies_.size() > options_.anomaly_capacity) {
+  const uint64_t horizon =
+      now_micros > kWindowMicros ? now_micros - kWindowMicros : 0;
+  std::erase_if(slowest_, [horizon](const Kept& kept) {
+    return kept.completed_micros < horizon;
+  });
+  if (record.outcome != RequestOutcome::kServed) {
+    anomalies_.push_back(Kept{record, spans, seconds, now_micros});
+    if (anomalies_.size() > kAnomalyCapacity) {
       anomalies_.pop_front();
       anomalies_dropped_.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  if (slowest_.size() < options_.slowest_capacity ||
-      trace.total_seconds > slowest_.back().total_seconds) {
+  if (slowest_.size() < kSlowestCapacity ||
+      seconds > slowest_.back().seconds) {
     // Insert keeping the vector sorted slowest-first, then trim.
     const auto pos = std::upper_bound(
-        slowest_.begin(), slowest_.end(), trace.total_seconds,
-        [](double v, const TailTrace& t) { return v > t.total_seconds; });
-    slowest_.insert(pos, std::move(trace));
-    if (slowest_.size() > options_.slowest_capacity) slowest_.pop_back();
+        slowest_.begin(), slowest_.end(), seconds,
+        [](double v, const Kept& kept) { return v > kept.seconds; });
+    slowest_.insert(pos, Kept{record, spans, seconds, now_micros});
+    if (slowest_.size() > kSlowestCapacity) slowest_.pop_back();
   }
 }
 
 std::string TailTraceRing::ExportJson() const {
+  const int64_t wall_now =
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::system_clock::now().time_since_epoch())
+          .count();
+  const int64_t offset = wall_now - static_cast<int64_t>(NowMicros());
+  const auto append = [offset](std::string* out, const Kept& kept) {
+    AppendTrace(out, kept.record, kept.spans, kept.seconds,
+                offset + static_cast<int64_t>(kept.completed_micros));
+  };
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"window_seconds\": " +
-                    JsonNumber(options_.window_seconds) + ",\n\"slowest\": [";
+  std::string out =
+      "{\"window_seconds\": " + JsonNumber(kWindowMicros / 1e6) +
+      ",\n\"slowest\": [";
   bool first = true;
-  for (const TailTrace& trace : slowest_) {
+  for (const Kept& kept : slowest_) {
     out += first ? "\n " : ",\n ";
     first = false;
-    AppendTrace(&out, trace);
+    append(&out, kept);
   }
   out += "\n],\n\"anomalies\": [";
   first = true;
@@ -114,7 +101,7 @@ std::string TailTraceRing::ExportJson() const {
   for (auto it = anomalies_.rbegin(); it != anomalies_.rend(); ++it) {
     out += first ? "\n " : ",\n ";
     first = false;
-    AppendTrace(&out, *it);
+    append(&out, *it);
   }
   out += "\n]}\n";
   return out;
@@ -130,27 +117,21 @@ size_t TailTraceRing::anomaly_size() const {
   return anomalies_.size();
 }
 
-namespace {
-
-uint64_t TraceApproxBytes(const TailTrace& trace) {
-  uint64_t bytes = obs::StringApproxBytes(trace.outcome);
-  bytes += static_cast<uint64_t>(trace.spans.capacity()) *
-           sizeof(CollectedSpan);
-  for (const CollectedSpan& span : trace.spans) {
-    bytes += obs::StringApproxBytes(span.path);
-  }
-  return bytes;
-}
-
-}  // namespace
-
 uint64_t TailTraceRing::ApproxBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   uint64_t bytes =
-      static_cast<uint64_t>(slowest_.capacity()) * sizeof(TailTrace) +
-      static_cast<uint64_t>(anomalies_.size()) * sizeof(TailTrace);
-  for (const TailTrace& trace : slowest_) bytes += TraceApproxBytes(trace);
-  for (const TailTrace& trace : anomalies_) bytes += TraceApproxBytes(trace);
+      static_cast<uint64_t>(slowest_.capacity() + anomalies_.size()) *
+      sizeof(Kept);
+  const auto add = [&bytes](const Kept& kept) {
+    bytes += RecordApproxBytes(kept.record);
+    bytes += static_cast<uint64_t>(kept.spans.capacity()) *
+             sizeof(CollectedSpan);
+    for (const CollectedSpan& span : kept.spans) {
+      bytes += StringApproxBytes(span.path);
+    }
+  };
+  std::for_each(slowest_.begin(), slowest_.end(), add);
+  std::for_each(anomalies_.begin(), anomalies_.end(), add);
   return bytes;
 }
 

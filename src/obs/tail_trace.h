@@ -8,40 +8,28 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace_context.h"
+#include "obs/provenance.h"
 
 namespace pasa {
 namespace obs {
 
-/// The complete span tree of one finished request, as kept by the
-/// TailTraceRing for after-the-fact inspection of outliers.
-struct TailTrace {
-  uint64_t trace_id = 0;
-  int64_t rid = 0;
-  std::string outcome;  ///< served | degraded | failed | rejected
-  double total_seconds = 0.0;
-  /// Wall-clock (system_clock) micros at completion; stamped by Offer when
-  /// left 0. Drives the sliding-window eviction.
-  uint64_t completed_wall_micros = 0;
-  std::vector<CollectedSpan> spans;
-};
-
-/// Always-on tail-trace capture: a fixed-capacity store of the N slowest
-/// requests inside a sliding wall-clock window, plus a bounded ring of
-/// every anomalous (non-served) request. Fed by the serving path on every
-/// request, served at GET /trace on the admin plane and by
-/// `pasa_cli slowest`.
+/// Always-on tail-trace capture: a selection over finished request records.
+/// It keeps the records, each with its span tree, of the kSlowestCapacity
+/// slowest requests inside a sliding kWindowMicros window, plus a bounded
+/// ring of the kAnomalyCapacity most recent anomalous (non-served)
+/// requests. FinishRequest offers every traced request; the selection is
+/// served at GET /trace on the admin plane and by `pasa_cli slowest`.
 ///
-/// The disarmed check (`enabled()`) is a single relaxed atomic load; the
-/// armed path takes a mutex, which is fine on the single-threaded serving
-/// loop and still cheap elsewhere.
+/// Time is the steady clock FinishRequest books its windows and SLOs at;
+/// the export derives each record's wall-clock completion time when it is
+/// read. The disarmed check (`enabled()`) is a single relaxed atomic load;
+/// the armed path takes a mutex, which is fine on the single-threaded
+/// serving loop and still cheap elsewhere.
 class TailTraceRing {
  public:
-  struct Options {
-    size_t slowest_capacity = 8;  ///< N slowest kept per window
-    size_t anomaly_capacity = 32;
-    double window_seconds = 60.0;
-  };
+  static constexpr size_t kSlowestCapacity = 8;
+  static constexpr size_t kAnomalyCapacity = 32;
+  static constexpr uint64_t kWindowMicros = 60'000'000;
 
   static TailTraceRing& Global();
 
@@ -49,24 +37,29 @@ class TailTraceRing {
   TailTraceRing(const TailTraceRing&) = delete;
   TailTraceRing& operator=(const TailTraceRing&) = delete;
 
-  void Enable(const Options& options);
-  void Enable() { Enable(Options()); }
-  void Disable();
+  void Enable() { enabled_.store(true, std::memory_order_relaxed); }
+  void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Offers one finished request. Kept if it is among the window's slowest
-  /// or is anomalous (outcome != "served"); otherwise discarded. No-op when
-  /// disabled.
-  void Offer(TailTrace trace);
+  /// Offers one finished request: its record, its span tree, the latency
+  /// it is ranked by (`seconds`) and its steady completion time
+  /// `now_micros`, which first evicts the slowest entries that have left
+  /// the window. The record and spans are copied only when kept: when the
+  /// request is anomalous (outcome != kServed), or slower than the
+  /// window's current N-th slowest. No-op when disabled.
+  void Offer(const ProvenanceRecord& record,
+             const std::vector<CollectedSpan>& spans, double seconds,
+             uint64_t now_micros);
 
-  /// {"window_seconds":…, "slowest":[…], "anomalies":[…]} — slowest first.
-  /// Each trace carries its hex trace id and full span tree.
+  /// {"window_seconds":…, "slowest":[…], "anomalies":[…]} — slowest first,
+  /// anomalies newest first. Each trace carries its hex trace id, rid,
+  /// outcome, ranking latency, wall-clock completion time and span tree.
   std::string ExportJson() const;
 
   size_t slowest_size() const;
   size_t anomaly_size() const;
 
-  /// Anomalous traces overwritten because the bounded anomaly ring was
+  /// Anomalous records overwritten because the bounded anomaly ring was
   /// full — the tail-trace sibling of obs/trace_dropped_events, exported
   /// as the obs/tail_trace_dropped counter so silent ring saturation is
   /// visible on /metrics.
@@ -74,21 +67,25 @@ class TailTraceRing {
     return anomalies_dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Approximate heap bytes held by the retained traces (span trees
+  /// Approximate heap bytes held by the retained records (span trees
   /// included) — memory accounting, obs/mem.h.
   uint64_t ApproxBytes() const;
 
   void Reset();
 
  private:
-  void EvictExpiredLocked(uint64_t now_micros);
+  struct Kept {
+    ProvenanceRecord record;
+    std::vector<CollectedSpan> spans;
+    double seconds = 0.0;            ///< the ranking latency
+    uint64_t completed_micros = 0;  ///< steady clock, see NowMicros
+  };
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> anomalies_dropped_{0};
   mutable std::mutex mu_;
-  Options options_;
-  std::vector<TailTrace> slowest_;   ///< sorted, slowest first
-  std::deque<TailTrace> anomalies_;  ///< newest last
+  std::vector<Kept> slowest_;   ///< sorted, slowest first
+  std::deque<Kept> anomalies_;  ///< newest last
 };
 
 }  // namespace obs

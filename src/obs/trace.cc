@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "obs/provenance.h"
 #include "obs/trace_context.h"
 #include "obs/trace_sink.h"
 
@@ -77,13 +78,8 @@ ScopedSpan::~ScopedSpan() {
     if (TraceContext* ctx = MutableCurrentTraceContext()) {
       ctx->span_id = parent_span_id_;
     }
-    if (SpanCollector* collector = CurrentSpanCollector()) {
-      collector->spans.push_back(CollectedSpan{
-          span_id_, parent_span_id_, path_,
-          std::chrono::duration<double, std::micro>(start_ - collector->base)
-              .count(),
-          seconds * 1e6});
-    }
+    ScopedProvenanceRecord::CollectSpan(span_id_, parent_span_id_, path_,
+                                        start_, seconds);
   }
   // Record directly (not via RecordSpan) so a span that was open when the
   // layer got disabled still reports its measured time.

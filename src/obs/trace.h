@@ -34,9 +34,10 @@ namespace obs {
 /// When a distributed TraceContext is active on the thread (see
 /// obs/trace_context.h), the span also allocates a span id, parents itself
 /// under the context's current span, stamps its trace identity onto the
-/// emitted timeline events, and reports itself to the armed SpanCollector
-/// (if any) on close. With no context active this costs one thread-local
-/// read.
+/// emitted timeline events, and on close appends itself to the span tree
+/// of the request record open on the thread, if that record collects spans
+/// (ScopedProvenanceRecord::CollectSpan). With no context active this
+/// costs one thread-local read.
 class ScopedSpan {
  public:
   enum Anchor { kNested, kRoot };

@@ -3,14 +3,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 
 namespace pasa {
 namespace obs {
 namespace {
 
-thread_local TraceContext tls_trace_context;       // trace_id == 0: inactive
-thread_local SpanCollector* tls_collector = nullptr;
+thread_local TraceContext tls_trace_context;  // trace_id == 0: inactive
 const TraceContext kNoContext;
 
 // SplitMix64 finalizer: full-period mixing of a sequential counter, so ids
@@ -84,15 +84,6 @@ ScopedTraceContext::ScopedTraceContext(const TraceContext& ctx)
 }
 
 ScopedTraceContext::~ScopedTraceContext() { tls_trace_context = saved_; }
-
-SpanCollector* CurrentSpanCollector() { return tls_collector; }
-
-ScopedSpanCollector::ScopedSpanCollector(SpanCollector* collector)
-    : saved_(tls_collector) {
-  tls_collector = collector;
-}
-
-ScopedSpanCollector::~ScopedSpanCollector() { tls_collector = saved_; }
 
 }  // namespace obs
 }  // namespace pasa

@@ -1,10 +1,8 @@
 #ifndef PASA_OBS_TRACE_CONTEXT_H_
 #define PASA_OBS_TRACE_CONTEXT_H_
 
-#include <chrono>
 #include <cstdint>
 #include <string>
-#include <vector>
 
 namespace pasa {
 namespace obs {
@@ -20,7 +18,6 @@ namespace obs {
 struct TraceContext {
   uint64_t trace_id = 0;
   uint64_t span_id = 0;  ///< innermost open span; parent of the next child
-  bool sampled = false;  ///< peer asked for this request to be recorded
   /// Adopted from a remote peer (decoded off the wire, not locally
   /// originated). The first span opened under a remote context emits a
   /// flow-finish event so the Chrome-trace exporter can draw the
@@ -60,42 +57,6 @@ class ScopedTraceContext {
 
  private:
   TraceContext saved_;
-};
-
-/// One completed span as captured for a tail trace: enough to rebuild the
-/// request's span tree (parent links) with timings, without the full
-/// TraceEventSink machinery.
-struct CollectedSpan {
-  uint64_t span_id = 0;
-  uint64_t parent_span_id = 0;  ///< 0 = root (or remote parent)
-  std::string path;
-  double start_micros = 0.0;  ///< relative to the collector being armed
-  double duration_micros = 0.0;
-};
-
-/// Accumulates the spans of one request. Armed per request via
-/// ScopedSpanCollector; every ScopedSpan that closes with a trace active
-/// appends itself here.
-struct SpanCollector {
-  std::chrono::steady_clock::time_point base =
-      std::chrono::steady_clock::now();
-  std::vector<CollectedSpan> spans;
-};
-
-/// The thread's armed collector, or nullptr.
-SpanCollector* CurrentSpanCollector();
-
-/// RAII: arms `collector` for the scope (restoring the previous one on
-/// destruction, so nested arming is safe).
-class ScopedSpanCollector {
- public:
-  explicit ScopedSpanCollector(SpanCollector* collector);
-  ~ScopedSpanCollector();
-  ScopedSpanCollector(const ScopedSpanCollector&) = delete;
-  ScopedSpanCollector& operator=(const ScopedSpanCollector&) = delete;
-
- private:
-  SpanCollector* saved_;
 };
 
 }  // namespace obs

@@ -1330,30 +1330,6 @@ TEST(NetServerTraceTest, MetricsCarryExemplarsWhenEnabled) {
   fx.server->Stop();
 }
 
-// Disabling tail capture turns /trace into an empty (but well-formed)
-// report and skips per-request collection entirely.
-TEST(NetServerTraceTest, TailCaptureCanBeDisabled) {
-  NetServerOptions options = WithAdminPlane();
-  options.tail_traces = false;
-  Fixture fx(/*k=*/10, options);
-  // The ring is process-global: an earlier test's server may have armed it.
-  obs::TailTraceRing::Global().Disable();
-  obs::TailTraceRing::Global().Reset();
-  std::atomic<int> failures{0};
-  ServeAndVerify(fx.server->port(), fx.db, 10, 0, 3, &failures);
-  ASSERT_EQ(failures.load(), 0);
-
-  Result<HttpResponse> response = HttpGet(fx.server->admin_port(), "/trace");
-  ASSERT_TRUE(response.ok());
-  EXPECT_EQ(response->status, 200);
-  Result<obs::json::Value> doc = obs::json::Parse(response->body);
-  ASSERT_TRUE(doc.ok());
-  const obs::json::Value* slowest = doc->Find("slowest");
-  ASSERT_NE(slowest, nullptr);
-  EXPECT_TRUE(slowest->array().empty()) << response->body;
-  fx.server->Stop();
-}
-
 }  // namespace
 }  // namespace net
 }  // namespace pasa

@@ -1,6 +1,7 @@
 // Unit tests for the per-request provenance layer: the JSONL round trip
-// (field-for-field equality), the bounded overwrite-oldest ring, and the
-// thread-local ScopedProvenanceRecord scoping rules.
+// (field-for-field equality), the bounded overwrite-oldest ring, the
+// thread-local ScopedProvenanceRecord scoping rules, and what FinishRequest
+// derives from a finished record.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/provenance.h"
+#include "obs/tail_trace.h"
+#include "obs/trace_context.h"
 #include "obs/window.h"
 
 namespace pasa {
@@ -272,6 +275,34 @@ TEST_F(ProvenanceTest, FinishRequestDerivesEachLayerFromItsPhases) {
   EXPECT_EQ(ProvenanceRing::Global().size(), 3u);
   windows.Disable();
   windows.Reset();
+}
+
+// The tail ring keeps time on the clock FinishRequest books windows and
+// SLOs at: a slow request finished at steady time t has left the ring's
+// 60 s window once a fast one finishes at t + 61 s.
+TEST_F(ProvenanceTest, TailRingRunsOnTheRequestClock) {
+  TailTraceRing& tail = TailTraceRing::Global();
+  tail.Enable();
+  tail.Reset();
+  constexpr uint64_t kT = 1'000'000'000;
+  ProvenanceRecord slow;
+  slow.trace_id = 0x5104;
+  slow.outcome = RequestOutcome::kServed;
+  slow.total_seconds = 0.5;
+  FinishRequest(std::move(slow), {}, kT);
+  ProvenanceRecord fast;
+  fast.trace_id = 0xfa57;
+  fast.outcome = RequestOutcome::kServed;
+  fast.total_seconds = 0.001;
+  FinishRequest(std::move(fast), {}, kT + 61'000'000);
+  Result<json::Value> doc = json::Parse(tail.ExportJson());
+  tail.Disable();
+  tail.Reset();
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  const json::Value* slowest = doc->Find("slowest");
+  ASSERT_NE(slowest, nullptr);
+  ASSERT_EQ(slowest->array().size(), 1u);
+  EXPECT_EQ(slowest->array()[0].Find("trace_id")->str(), TraceIdHex(0xfa57));
 }
 
 TEST_F(ProvenanceTest, EnableClearsPreviousRecords) {

@@ -1,6 +1,7 @@
 // Distributed trace-context tests: id generation and hex round trips, the
 // thread-local context slot, ScopedSpan's parent/child chaining under an
-// active context, span collection, and the remote-adoption flow flag.
+// active context, span collection on the request record, and the
+// remote-adoption flow flag.
 
 #include "obs/trace_context.h"
 
@@ -8,7 +9,10 @@
 
 #include <set>
 #include <thread>
+#include <vector>
 
+#include "obs/provenance.h"
+#include "obs/tail_trace.h"
 #include "obs/trace.h"
 
 namespace pasa {
@@ -99,38 +103,59 @@ TEST(TraceContextTest, SpansWithoutContextGetNoIds) {
   EXPECT_EQ(span.span_id(), 0u);
 }
 
+// Arms the tail ring, so request records collect spans, for one test.
+struct ArmTailRing {
+  ArmTailRing() { TailTraceRing::Global().Enable(); }
+  ~ArmTailRing() {
+    TailTraceRing::Global().Disable();
+    TailTraceRing::Global().Reset();
+  }
+};
+
+// The request record collects the span tree of its traced request.
 TEST(TraceContextTest, CollectorCapturesSpanTree) {
   TraceContext ctx;
   ctx.trace_id = NewTraceId();
   ScopedTraceContext scope(ctx);
-  SpanCollector collector;
   uint64_t outer_id = 0;
   uint64_t inner_id = 0;
+  std::vector<CollectedSpan> spans;
   {
-    ScopedSpanCollector arm(&collector);
-    ScopedSpan outer("csp/handle", ScopedSpan::kRoot);
-    outer_id = outer.span_id();
+    ArmTailRing arm;
+    ScopedProvenanceRecord record;
     {
-      ScopedSpan inner("lbs/serve");
-      inner_id = inner.span_id();
+      ScopedSpan outer("csp/handle", ScopedSpan::kRoot);
+      outer_id = outer.span_id();
+      {
+        ScopedSpan inner("lbs/serve");
+        inner_id = inner.span_id();
+      }
     }
+    spans = record.spans();
   }
-  ASSERT_EQ(collector.spans.size(), 2u);
+  ASSERT_EQ(spans.size(), 2u);
   // Spans report on close, so the inner lands first.
-  EXPECT_EQ(collector.spans[0].span_id, inner_id);
-  EXPECT_EQ(collector.spans[0].parent_span_id, outer_id);
-  EXPECT_EQ(collector.spans[0].path, "csp/handle/lbs/serve");
-  EXPECT_EQ(collector.spans[1].span_id, outer_id);
-  EXPECT_EQ(collector.spans[1].parent_span_id, 0u);
-  EXPECT_GE(collector.spans[1].duration_micros,
-            collector.spans[0].duration_micros);
+  EXPECT_EQ(spans[0].span_id, inner_id);
+  EXPECT_EQ(spans[0].parent_span_id, outer_id);
+  EXPECT_EQ(spans[0].path, "csp/handle/lbs/serve");
+  EXPECT_EQ(spans[1].span_id, outer_id);
+  EXPECT_EQ(spans[1].parent_span_id, 0u);
+  EXPECT_GE(spans[1].duration_micros, spans[0].duration_micros);
+  // Start times are relative to the record's open.
+  EXPECT_GE(spans[1].start_micros, 0.0);
+  EXPECT_LE(spans[1].start_micros, spans[0].start_micros);
+
+  // With the tail ring disarmed the record collects nothing.
+  ScopedProvenanceRecord record;
+  { ScopedSpan span("csp/handle", ScopedSpan::kRoot); }
+  EXPECT_TRUE(record.spans().empty());
 }
 
 TEST(TraceContextTest, CollectorIgnoredWithoutContext) {
-  SpanCollector collector;
-  ScopedSpanCollector arm(&collector);
+  ArmTailRing arm;
+  ScopedProvenanceRecord record;
   { ScopedSpan span("untraced", ScopedSpan::kRoot); }
-  EXPECT_TRUE(collector.spans.empty());
+  EXPECT_TRUE(record.spans().empty());
 }
 
 TEST(TraceContextTest, RemoteFlagClearedByFirstSpan) {

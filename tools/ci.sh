@@ -13,8 +13,9 @@
 # /metrics is format-checked and cross-checked against loadgen's client-side
 # count, and /profile must name the Bulk_dp spans recorded at startup. A
 # final traced leg runs loadgen and the server with tracing armed on both
-# sides and asserts one trace id end to end: /trace, the client latency
-# log, the /metrics exemplars, and the trace-merge'd Perfetto timeline.
+# sides and asserts one trace id end to end: /trace, `pasa_cli slowest`,
+# the client latency log, the /metrics exemplars, and the trace-merge'd
+# Perfetto timeline.
 #
 # Usage: tools/ci.sh [build-dir-prefix]
 #
@@ -110,7 +111,7 @@ if [[ "${PASA_CI_SKIP_TSAN:-0}" != "1" ]]; then
   # local default 3) — TSan is where extra schedules pay off.
   PASA_CHAOS_SEEDS=8 \
   ctest --test-dir "${prefix}-tsan" --output-on-failure -j "${jobs}" \
-        -R 'Chaos|Parallel|TraceSink|TraceContext|TailTrace|Provenance|Window|Slo|NetWire|NetServer'
+        -R 'Chaos|Parallel|TraceSink|TraceContext|TailTraceRing|Provenance|Window|Slo|NetWire|NetServer'
 else
   step "tsan build skipped (PASA_CI_SKIP_TSAN=1)"
 fi
@@ -223,9 +224,10 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   # loadgen originates a trace context per request and carries it in the
   # wire v2 frame; the server adopts it, feeds the tail ring, stamps
   # exemplars, and writes its own Chrome trace. The leg asserts one trace
-  # id observed end to end: in the server's /trace report, in loadgen's
-  # per-request latency log, in the exemplar-annotated /metrics scrape,
-  # and in the merged two-process Perfetto timeline.
+  # id observed end to end: in the server's /trace report (raw and as
+  # rendered by `pasa_cli slowest`), in loadgen's per-request latency log,
+  # in the exemplar-annotated /metrics scrape, and in the merged
+  # two-process Perfetto timeline.
   trace_port=$((net_port + 2))
   trace_admin=$((admin_port + 2))
   trace_dir="${prefix}-release/tools"
@@ -244,6 +246,10 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
       --port "${trace_admin}" --path /trace \
       | sed -n 's/.*"trace_id": "\([0-9a-f]\{16\}\)".*/\1/p' | head -n 1)
   test -n "${slow_id}"
+  # pasa_cli slowest parses the same /trace body and names the same trace.
+  "${prefix}-release/tools/pasa_cli" slowest --port "${trace_admin}" \
+      > "${trace_dir}/ci_slowest.txt"
+  grep -q "${slow_id}" "${trace_dir}/ci_slowest.txt"
   # The client logged the same id when it originated the request...
   grep -q "${slow_id}" "${trace_dir}/ci_latency.csv"
   # ...and the Prometheus scrape carries exemplars and stays conformant.

@@ -36,16 +36,15 @@
 // timestamps are aligned via each file's wallClockBaseMicros anchor, and
 // the shared trace ids' flow events draw client->server arrows.
 // slowest fetches GET /trace from a serving admin plane and pretty-prints
-// the tail-trace ring: span trees of the slowest and anomalous requests.
+// the tail-trace ring: the records and span trees of the slowest and
+// anomalous requests.
 //
 // serve --listen also accepts:
 //   --exemplars 1             emit OpenMetrics exemplars (the trace id of
 //                             each latency bucket's slowest request) on
 //                             /metrics
-//   --tail-slowest N          tail-trace ring: keep the N slowest requests
-//                             per sliding window (default 8; 0 disables
-//                             tail tracing)
-//   --tail-window SECONDS     the sliding window (default 60)
+// and always arms the tail-trace ring (the 8 slowest requests of the last
+// 60 s plus the 32 newest anomalies; no flag changes it).
 //
 // Every subcommand additionally accepts:
 //   --metrics-out FILE.json   observability snapshot (per-phase bulk_dp
@@ -73,9 +72,9 @@
 //                             format) on exit, the GET /profile body
 // serve with --listen additionally accepts --admin-port P: a second
 // loopback listener serving live HTTP telemetry (GET /metrics, /healthz,
-// /slo, /vars, /memory, /profile) on the same event loop; 0 picks a free
-// port. `pasa_cli scrape --port P` fetches one admin target and --check 1
-// validates /metrics against the Prometheus text format.
+// /slo, /vars, /memory, /trace, /profile) on the same event loop; 0 picks
+// a free port. `pasa_cli scrape --port P` fetches one admin target and
+// --check 1 validates /metrics against the Prometheus text format.
 // serve always arms the windowed telemetry and SLO burn-rate tracker;
 // `--watch N` renders their dashboard every N epochs. anonymize and audit
 // also print a human-readable metrics dump. See docs/observability.md and
@@ -155,7 +154,6 @@ int Usage() {
       "                     [--listen PORT] [--listen-duration SECONDS]\n"
       "                     [--max-pending N] [--net-backend epoll|poll]\n"
       "                     [--admin-port P] [--exemplars 1]\n"
-      "                     [--tail-slowest N] [--tail-window SECONDS]\n"
       "  pasa_cli scrape    --port P [--path /metrics] [--check 1]\n"
       "  pasa_cli memstats  --port P | --in F [--k K] [--seed S]\n"
       "  pasa_cli explain   --audit F.jsonl [--rid N] [--limit N]\n"
@@ -494,10 +492,6 @@ int RunListen(CspServer* csp, const Flags& flags, int k) {
     options.admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
   }
   options.exemplars = flags.GetInt("exemplars", 0) != 0;
-  const int64_t tail_slowest = flags.GetInt("tail-slowest", 8);
-  options.tail_traces = tail_slowest > 0;
-  options.tail_slowest = static_cast<size_t>(std::max<int64_t>(1, tail_slowest));
-  options.tail_window_seconds = flags.GetDouble("tail-window", 60.0);
   const double duration = flags.GetDouble("listen-duration", 30.0);
   Result<std::unique_ptr<net::NetServer>> server =
       net::NetServer::Start(csp, options);

@@ -111,7 +111,6 @@ void OneRequest(net::NetClient& client, const Shared& shared, size_t row,
 
   obs::TraceContext ctx;
   ctx.trace_id = obs::NewTraceId();
-  ctx.sampled = true;
   obs::ScopedTraceContext trace_scope(ctx);
   obs::ScopedSpan request_span("loadgen/request", obs::ScopedSpan::kRoot);
   const net::WireTraceContext wire{ctx.trace_id,
