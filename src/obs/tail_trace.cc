@@ -5,7 +5,6 @@
 
 #include "obs/export.h"
 #include "obs/mem.h"
-#include "obs/window.h"
 
 namespace pasa {
 namespace obs {
@@ -52,11 +51,7 @@ void TailTraceRing::Offer(const ProvenanceRecord& record,
                           double seconds, uint64_t now_micros) {
   if (!enabled()) return;
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t horizon =
-      now_micros > kWindowMicros ? now_micros - kWindowMicros : 0;
-  std::erase_if(slowest_, [horizon](const Kept& kept) {
-    return kept.completed_micros < horizon;
-  });
+  EvictExpired(now_micros);
   if (record.outcome != RequestOutcome::kServed) {
     anomalies_.push_back(Kept{record, spans, seconds, now_micros});
     if (anomalies_.size() > kAnomalyCapacity) {
@@ -75,17 +70,26 @@ void TailTraceRing::Offer(const ProvenanceRecord& record,
   }
 }
 
-std::string TailTraceRing::ExportJson() const {
+void TailTraceRing::EvictExpired(uint64_t now_micros) {
+  const uint64_t horizon =
+      now_micros > kWindowMicros ? now_micros - kWindowMicros : 0;
+  std::erase_if(slowest_, [horizon](const Kept& kept) {
+    return kept.completed_micros < horizon;
+  });
+}
+
+std::string TailTraceRing::ExportJson(uint64_t now_micros) {
   const int64_t wall_now =
       std::chrono::duration_cast<std::chrono::microseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count();
-  const int64_t offset = wall_now - static_cast<int64_t>(NowMicros());
+  const int64_t offset = wall_now - static_cast<int64_t>(now_micros);
   const auto append = [offset](std::string* out, const Kept& kept) {
     AppendTrace(out, kept.record, kept.spans, kept.seconds,
                 offset + static_cast<int64_t>(kept.completed_micros));
   };
   std::lock_guard<std::mutex> lock(mu_);
+  EvictExpired(now_micros);
   std::string out =
       "{\"window_seconds\": " + JsonNumber(kWindowMicros / 1e6) +
       ",\n\"slowest\": [";

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "obs/provenance.h"
+#include "obs/window.h"
 
 namespace pasa {
 namespace obs {
@@ -54,7 +55,11 @@ class TailTraceRing {
   /// {"window_seconds":…, "slowest":[…], "anomalies":[…]} — slowest first,
   /// anomalies newest first. Each trace carries its hex trace id, rid,
   /// outcome, ranking latency, wall-clock completion time and span tree.
-  std::string ExportJson() const;
+  /// The export first evicts the slowest entries that finished before
+  /// `now_micros` - kWindowMicros, so the list never outlives its window
+  /// once traffic (and with it Offer) stops.
+  std::string ExportJson() { return ExportJson(NowMicros()); }
+  std::string ExportJson(uint64_t now_micros);
 
   size_t slowest_size() const;
   size_t anomaly_size() const;
@@ -80,6 +85,10 @@ class TailTraceRing {
     double seconds = 0.0;            ///< the ranking latency
     uint64_t completed_micros = 0;  ///< steady clock, see NowMicros
   };
+
+  /// Drops the slowest entries completed before now_micros -
+  /// kWindowMicros. Caller holds mu_.
+  void EvictExpired(uint64_t now_micros);
 
   std::atomic<bool> enabled_{false};
   std::atomic<uint64_t> anomalies_dropped_{0};

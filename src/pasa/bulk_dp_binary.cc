@@ -3,6 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <iterator>
+
+#if defined(__x86_64__)
+#include <x86intrin.h>
+#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -10,24 +15,23 @@
 namespace pasa {
 namespace {
 
-using ProfileClock = std::chrono::steady_clock;
-
-double SecondsSince(ProfileClock::time_point t0) {
-  return std::chrono::duration<double>(ProfileClock::now() - t0).count();
+uint64_t ReadTicks() {
+#if defined(__x86_64__)
+  return __rdtsc();
+#else
+  return static_cast<uint64_t>(
+      std::chrono::steady_clock::now().time_since_epoch().count());
+#endif
 }
 
-// Pass-up candidates of a row: the dense values [0..cap] plus d itself.
-// Appends (j, cost) pairs for one child's F set into `out` offset by `base`
-// (the other child's fixed contribution).
-void AppendShifted(const DpRow& row, uint32_t d, uint32_t base, Cost base_cost,
+// Pass-up candidates of a row: the dense values [0..cap] plus d itself, as
+// (pass-up, cost) pairs.
+void AppendPassUps(const DpRow& row, uint32_t d,
                    std::vector<std::pair<uint32_t, Cost>>* out) {
-  if (row.HasDense()) {
-    for (int32_t l = 0; l <= row.cap; ++l) {
-      out->emplace_back(base + static_cast<uint32_t>(l),
-                        base_cost + row.dense[l].cost);
-    }
+  for (int32_t l = 0; l <= row.cap; ++l) {
+    out->emplace_back(static_cast<uint32_t>(l), row.dense[l].cost);
   }
-  out->emplace_back(base + d, base_cost);
+  out->emplace_back(d, 0);
 }
 
 int32_t ComputeCap(uint32_t d, int k, int depth, bool pruning) {
@@ -59,11 +63,10 @@ DpRow ComputeLeafRow(const BinaryTree::Node& n, int k,
 void FillDirect(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
                 uint32_t d1, uint32_t d2, int k, DpRow* row,
                 DpPhaseProfile* profile) {
-  const auto t0 = profile ? ProfileClock::now() : ProfileClock::time_point{};
   const Cost area = n.region.Area();
   std::vector<std::pair<uint32_t, Cost>> f1, f2;
-  AppendShifted(r1, d1, 0, 0, &f1);
-  AppendShifted(r2, d2, 0, 0, &f2);
+  AppendPassUps(r1, d1, &f1);
+  AppendPassUps(r2, d2, &f2);
   for (int32_t u = 0; u <= row->cap; ++u) {
     DpEntry best;
     for (const auto& [l1, c1] : f1) {
@@ -81,69 +84,111 @@ void FillDirect(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
     }
     row->dense[u] = best;
   }
-  if (profile) profile->direct_scan_seconds += SecondsSince(t0);
+  if (profile) profile->direct_scan_ticks += profile->Lap();
+}
+
+// One sorted input of stage 1b: j = first + i carries cost[i], i < size.
+struct Run {
+  uint32_t first = 0;
+  const Cost* cost = nullptr;
+  uint32_t size = 0;
+};
+
+// Merges interval runs into g: every j some run reaches, ascending, with the
+// minimum cost over the runs that reach it. The runs' ends cut [min j,
+// max j] into segments each covered by a fixed set of runs, so each segment
+// is one tight loop.
+void MergeRuns(const Run (&runs)[4], DpScratch* s) {
+  uint32_t cuts[8];
+  size_t total = 0;
+  for (size_t r = 0; r < 4; ++r) {
+    cuts[2 * r] = runs[r].first;
+    cuts[2 * r + 1] = runs[r].first + runs[r].size;
+    total += runs[r].size;
+  }
+  std::sort(std::begin(cuts), std::end(cuts));
+  s->g_j.resize(total);
+  s->g_cost.resize(total);
+  size_t w = 0;
+  for (size_t c = 0; c + 1 < 8; ++c) {
+    const uint32_t lo = cuts[c];
+    const uint32_t hi = cuts[c + 1];
+    if (lo == hi) continue;
+    const Run* active[4];
+    size_t n = 0;
+    for (const Run& run : runs) {
+      if (run.first <= lo && hi <= run.first + run.size) active[n++] = &run;
+    }
+    if (n == 0) continue;
+    for (uint32_t j = lo; j < hi; ++j) {
+      Cost best = active[0]->cost[j - active[0]->first];
+      for (size_t a = 1; a < n; ++a) {
+        best = std::min(best, active[a]->cost[j - active[a]->first]);
+      }
+      s->g_j[w] = j;
+      s->g_cost[w] = best;
+      ++w;
+    }
+  }
+  s->g_j.resize(w);
+  s->g_cost.resize(w);
+}
+
+// Copies a row's dense costs into a contiguous array (empty when the row
+// has no dense part).
+const Cost* DenseCosts(const DpRow& row, std::vector<Cost>* out) {
+  out->resize(row.dense.size());
+  for (size_t l = 0; l < row.dense.size(); ++l) (*out)[l] = row.dense[l].cost;
+  return out->data();
 }
 
 // Two-stage evaluation (Section V "From O(|B|(kh)^3) to O(|B|(kh)^2)"):
 // stage 1 materializes g(j) = min cost of the children jointly passing up j
 // (the paper's temp matrix, here a sorted sparse list because the reachable
-// j values are [0..cap1+cap2], d1+[0..cap2], [0..cap1]+d2 and d1+d2);
+// j values are [0..cap1+cap2], d1+[0..cap2], d1+d2 and d2+[0..cap1]);
 // stage 2 derives every M[m][u] from g with a suffix-minimum sweep.
 void FillTwoStage(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
                   uint32_t d1, uint32_t d2, int k, DpRow* row,
-                  DpPhaseProfile* profile) {
-  auto t0 = profile ? ProfileClock::now() : ProfileClock::time_point{};
+                  DpScratch* s, DpPhaseProfile* profile) {
   const Cost area = n.region.Area();
-  std::vector<std::pair<uint32_t, Cost>> g;
+  static constexpr Cost kZero = 0;
+  const Cost* c1 = DenseCosts(r1, &s->cost1);
+  const Cost* c2 = DenseCosts(r2, &s->cost2);
+  const uint32_t n1 = static_cast<uint32_t>(r1.dense.size());
+  const uint32_t n2 = static_cast<uint32_t>(r2.dense.size());
 
   // Stage 1a: dense x dense (min,+) convolution.
-  if (r1.HasDense() && r2.HasDense()) {
-    std::vector<Cost> conv(r1.cap + r2.cap + 1, kInfiniteCost);
-    for (int32_t l1 = 0; l1 <= r1.cap; ++l1) {
-      const Cost c1 = r1.dense[l1].cost;
-      for (int32_t l2 = 0; l2 <= r2.cap; ++l2) {
-        const Cost x = c1 + r2.dense[l2].cost;
-        Cost& slot = conv[l1 + l2];
-        if (x < slot) slot = x;
-      }
-    }
-    g.reserve(conv.size() + r1.cap + r2.cap + 3);
-    for (size_t j = 0; j < conv.size(); ++j) {
-      g.emplace_back(static_cast<uint32_t>(j), conv[j]);
-    }
+  uint32_t n_conv = 0;
+  if (n1 > 0 && n2 > 0) {
+    n_conv = n1 + n2 - 1;
+    s->conv.assign(n_conv, kInfiniteCost);
+    MinPlusConvolve(s->isa, c1, n1, c2, n2, s->conv.data());
   }
-  // Stage 1b: one child passes everything (cost 0), the other is dense.
-  AppendShifted(r2, d2, d1, 0, &g);
-  if (r1.HasDense()) {
-    for (int32_t l1 = 0; l1 <= r1.cap; ++l1) {
-      g.emplace_back(d2 + static_cast<uint32_t>(l1), r1.dense[l1].cost);
-    }
-  }
-
-  // Merge duplicate j values keeping the minimum cost.
-  std::sort(g.begin(), g.end());
-  size_t w = 0;
-  for (size_t r = 0; r < g.size(); ++r) {
-    if (w > 0 && g[w - 1].first == g[r].first) {
-      g[w - 1].second = std::min(g[w - 1].second, g[r].second);
-    } else {
-      g[w++] = g[r];
-    }
-  }
-  g.resize(w);
-  if (profile) {
-    profile->temp_convolution_seconds += SecondsSince(t0);
-    t0 = ProfileClock::now();
-  }
+  // Stage 1b: one child passes everything (cost 0), the other is dense or
+  // passes everything too. Each run is sorted; merging them keeps the
+  // minimum cost per j.
+  const Run runs[4] = {{0, s->conv.data(), n_conv},
+                       {d1, c2, n2},
+                       {d1 + d2, &kZero, 1},
+                       {d2, c1, n1}};
+  MergeRuns(runs, s);
+  if (profile) profile->temp_convolution_ticks += profile->Lap();
 
   // Suffix minima of g(j) + j*area, with the achieving j for bookkeeping.
-  std::vector<Cost> suffix_cost(g.size() + 1, kInfiniteCost);
-  std::vector<uint32_t> suffix_j(g.size() + 1, 0);
-  for (size_t i = g.size(); i-- > 0;) {
-    const Cost here = g[i].second + static_cast<Cost>(g[i].first) * area;
+  const size_t g_size = s->g_j.size();
+  const uint32_t* g_j = s->g_j.data();
+  const Cost* g_cost = s->g_cost.data();
+  s->suffix_cost.resize(g_size + 1);
+  s->suffix_j.resize(g_size + 1);
+  Cost* suffix_cost = s->suffix_cost.data();
+  uint32_t* suffix_j = s->suffix_j.data();
+  suffix_cost[g_size] = kInfiniteCost;
+  suffix_j[g_size] = 0;
+  for (size_t i = g_size; i-- > 0;) {
+    const Cost here = g_cost[i] + static_cast<Cost>(g_j[i]) * area;
     if (here <= suffix_cost[i + 1]) {
       suffix_cost[i] = here;
-      suffix_j[i] = g[i].first;
+      suffix_j[i] = g_j[i];
     } else {
       suffix_cost[i] = suffix_cost[i + 1];
       suffix_j[i] = suffix_j[i + 1];
@@ -151,46 +196,46 @@ void FillTwoStage(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
   }
 
   // Stage 2: M[m][u] = min(g(u),  min_{j >= u+k} g(j) + (j-u)*area).
-  size_t exact = 0;  // advancing cursor over g for the j == u lookup
+  // Both cursors only advance: `exact` to the first j >= u, `far` to the
+  // first j >= u + k.
+  size_t exact = 0;
+  size_t far = 0;
   for (int32_t u = 0; u <= row->cap; ++u) {
     const uint32_t uu = static_cast<uint32_t>(u);
     DpEntry best;
-    while (exact < g.size() && g[exact].first < uu) ++exact;
-    if (exact < g.size() && g[exact].first == uu) {
-      best.cost = g[exact].second;
+    while (exact < g_size && g_j[exact] < uu) ++exact;
+    if (exact < g_size && g_j[exact] == uu) {
+      best.cost = g_cost[exact];
       best.children_pass = uu;
     }
-    // First list index with j >= u + k.
-    const auto it = std::lower_bound(
-        g.begin(), g.end(), std::make_pair(uu + static_cast<uint32_t>(k),
-                                           std::numeric_limits<Cost>::min()));
-    const size_t idx = static_cast<size_t>(it - g.begin());
-    if (suffix_cost[idx] != kInfiniteCost) {
-      const Cost x = suffix_cost[idx] - static_cast<Cost>(uu) * area;
+    const uint32_t bound = uu + static_cast<uint32_t>(k);
+    while (far < g_size && g_j[far] < bound) ++far;
+    if (suffix_cost[far] != kInfiniteCost) {
+      const Cost x = suffix_cost[far] - static_cast<Cost>(uu) * area;
       if (x < best.cost) {
         best.cost = x;
-        best.children_pass = suffix_j[idx];
+        best.children_pass = suffix_j[far];
       }
     }
     row->dense[u] = best;
   }
-  if (profile) profile->suffix_sweep_seconds += SecondsSince(t0);
+  if (profile) profile->suffix_sweep_ticks += profile->Lap();
 }
 
 }  // namespace
 
 DpRow ComputeNodeRow(const BinaryTree& tree, int32_t node,
                      const DpMatrix& matrix, int k, const DpOptions& options,
-                     DpPhaseProfile* profile) {
+                     DpScratch* scratch, DpPhaseProfile* profile) {
   const BinaryTree::Node& n = tree.node(node);
   assert(n.live);
   if (n.IsLeaf()) {
-    if (profile == nullptr) return ComputeLeafRow(n, k, options);
-    const auto t0 = ProfileClock::now();
     DpRow row = ComputeLeafRow(n, k, options);
-    profile->leaf_init_seconds += SecondsSince(t0);
-    ++profile->leaf_rows;
-    profile->dense_cells += row.dense.size();
+    if (profile != nullptr) {
+      profile->leaf_init_ticks += profile->Lap();
+      ++profile->leaf_rows;
+      profile->dense_cells += row.dense.size();
+    }
     return row;
   }
 
@@ -208,12 +253,36 @@ DpRow ComputeNodeRow(const BinaryTree& tree, int32_t node,
   if (!row.HasDense()) return row;
   row.dense.resize(row.cap + 1);
   if (options.two_stage) {
-    FillTwoStage(n, r1, r2, d1, d2, k, &row, profile);
+    FillTwoStage(n, r1, r2, d1, d2, k, &row, scratch, profile);
   } else {
     FillDirect(n, r1, r2, d1, d2, k, &row, profile);
   }
   if (profile) profile->dense_cells += row.dense.size();
   return row;
+}
+
+DpPhaseProfile::DpPhaseProfile()
+    : start_(std::chrono::steady_clock::now()),
+      start_ticks_(ReadTicks()),
+      lap_ticks_(start_ticks_) {}
+
+uint64_t DpPhaseProfile::Lap() {
+  const uint64_t now = ReadTicks();
+  // A counter that steps back (a thread moved to a core whose counter
+  // lags) yields an empty lap rather than a wrapped one.
+  const uint64_t ticks = now > lap_ticks_ ? now - lap_ticks_ : 0;
+  lap_ticks_ = now;
+  return ticks;
+}
+
+double DpPhaseProfile::Seconds(uint64_t ticks) const {
+  const double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
+  const uint64_t now = ReadTicks();
+  if (now <= start_ticks_) return 0.0;
+  return static_cast<double>(ticks) * elapsed /
+         static_cast<double>(now - start_ticks_);
 }
 
 Result<DpMatrix> ComputeDpMatrix(const BinaryTree& tree, int k,
@@ -226,28 +295,48 @@ Result<DpMatrix> ComputeDpMatrix(const BinaryTree& tree, int k,
         std::to_string(k) + "; no policy-aware k-anonymous policy exists");
   }
   obs::ScopedSpan span("bulk_dp", obs::ScopedSpan::kRoot);
-  DpPhaseProfile profile;
-  DpPhaseProfile* p = obs::Enabled() ? &profile : nullptr;
+  DpScratch scratch;
   DpMatrix matrix;
   matrix.rows.resize(tree.num_nodes());
-  // Reverse index order: every child precedes its parent.
+  DpPhaseProfile profile;
+  DpPhaseProfile* p = obs::Enabled() ? &profile : nullptr;
+  // Leaves first, timed as one block rather than one clock read per leaf;
+  // then internal nodes in reverse index order, every child before its
+  // parent.
+  for (size_t i = 0; i < tree.num_nodes(); ++i) {
+    const BinaryTree::Node& n = tree.node(static_cast<int32_t>(i));
+    if (!n.live || !n.IsLeaf()) continue;
+    matrix.rows[i] = ComputeLeafRow(n, k, options);
+    if (p != nullptr) {
+      ++p->leaf_rows;
+      p->dense_cells += matrix.rows[i].dense.size();
+    }
+  }
+  if (p != nullptr) p->leaf_init_ticks += p->Lap();
   for (size_t i = tree.num_nodes(); i-- > 0;) {
     const int32_t id = static_cast<int32_t>(i);
-    if (!tree.node(id).live) continue;
-    matrix.rows[id] = ComputeNodeRow(tree, id, matrix, k, options, p);
+    if (!tree.node(id).live || tree.node(id).IsLeaf()) continue;
+    matrix.rows[id] =
+        ComputeNodeRow(tree, id, matrix, k, options, &scratch, p);
   }
   if (p != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
-    registry.RecordSpan("bulk_dp/leaf_init", p->leaf_init_seconds,
+    registry
+        .GetGauge(obs::LabeledName("bulk_dp/kernel_info",
+                                   {{"isa", MinPlusIsaName(scratch.isa)}}))
+        .Set(1);
+    registry.RecordSpan("bulk_dp/leaf_init", p->Seconds(p->leaf_init_ticks),
                         p->leaf_rows);
     if (options.two_stage) {
       registry.RecordSpan("bulk_dp/temp_convolution",
-                          p->temp_convolution_seconds, p->internal_rows);
-      registry.RecordSpan("bulk_dp/suffix_sweep", p->suffix_sweep_seconds,
+                          p->Seconds(p->temp_convolution_ticks),
+                          p->internal_rows);
+      registry.RecordSpan("bulk_dp/suffix_sweep",
+                          p->Seconds(p->suffix_sweep_ticks),
                           p->internal_rows);
     } else {
-      registry.RecordSpan("bulk_dp/direct_scan", p->direct_scan_seconds,
-                          p->internal_rows);
+      registry.RecordSpan("bulk_dp/direct_scan",
+                          p->Seconds(p->direct_scan_ticks), p->internal_rows);
     }
     registry.GetCounter("bulk_dp/runs").Increment();
     registry.GetCounter("bulk_dp/rows_computed")

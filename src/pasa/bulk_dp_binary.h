@@ -1,12 +1,14 @@
 #ifndef PASA_PASA_BULK_DP_BINARY_H_
 #define PASA_PASA_BULK_DP_BINARY_H_
 
+#include <chrono>
 #include <cstdint>
 #include <vector>
 
 #include "common/status.h"
 #include "index/binary_tree.h"
 #include "pasa/configuration.h"
+#include "pasa/minplus.h"
 
 namespace pasa {
 
@@ -54,14 +56,50 @@ struct DpRow {
 /// DP run profiles into its own instance. Only the phases the selected
 /// DpOptions actually execute accumulate time (two-stage fills
 /// temp_convolution/suffix_sweep, the direct variant fills direct_scan).
+///
+/// Phases are consecutive laps of one tick counter, so a phase boundary
+/// costs a single counter read; the time between two rows goes to the phase
+/// that follows it. On x86-64 the counter is the time-stamp counter, about
+/// half the cost of a steady_clock read, which matters on small trees where
+/// a row takes a microsecond; elsewhere it is the steady clock. Seconds()
+/// converts ticks at the rate measured against the steady clock since
+/// construction.
 struct DpPhaseProfile {
-  double leaf_init_seconds = 0.0;         ///< leaf rows (clause (i)/(ii))
-  double temp_convolution_seconds = 0.0;  ///< two-stage stage 1: temp matrix
-  double suffix_sweep_seconds = 0.0;      ///< two-stage stage 2 + suffix minima
-  double direct_scan_seconds = 0.0;       ///< un-staged direct evaluation
+  DpPhaseProfile();
+
+  /// Ends the current phase and starts the next; returns its ticks.
+  uint64_t Lap();
+  /// `ticks` in seconds.
+  double Seconds(uint64_t ticks) const;
+
+  uint64_t leaf_init_ticks = 0;         ///< leaf rows (clause (i)/(ii))
+  uint64_t temp_convolution_ticks = 0;  ///< two-stage stage 1: temp matrix
+  uint64_t suffix_sweep_ticks = 0;      ///< two-stage stage 2 + suffix minima
+  uint64_t direct_scan_ticks = 0;       ///< un-staged direct evaluation
   uint64_t leaf_rows = 0;
   uint64_t internal_rows = 0;
   uint64_t dense_cells = 0;  ///< dense DP entries materialized
+
+ private:
+  std::chrono::steady_clock::time_point start_;
+  uint64_t start_ticks_;
+  uint64_t lap_ticks_;
+};
+
+/// Working memory of the two-stage fill: both children's costs copied into
+/// contiguous arrays, their (min,+) convolution, the merged temp list g and
+/// its suffix minima. One scratch serves every row of one ComputeDpMatrix or
+/// ApplyMoves call, so a row allocates only its own dense entries. A scratch
+/// is not shared between threads: each concurrent caller owns one.
+struct DpScratch {
+  explicit DpScratch(MinPlusIsa isa = DispatchedMinPlusIsa()) : isa(isa) {}
+
+  MinPlusIsa isa;  ///< convolution kernel; must be MinPlusIsaSupported
+  std::vector<Cost> cost1, cost2, conv;
+  std::vector<uint32_t> g_j;  ///< g's j values, ascending
+  std::vector<Cost> g_cost;   ///< g(j)
+  std::vector<Cost> suffix_cost;
+  std::vector<uint32_t> suffix_j;
 };
 
 /// The full configuration matrix M of algorithm Bulk_dp, one row per tree
@@ -95,10 +133,11 @@ Result<DpMatrix> ComputeDpMatrix(const BinaryTree& tree, int k,
 /// Recomputes the row of a single node from its (already computed) child
 /// rows — the unit of work shared by the bulk computation above and by
 /// incremental maintenance (Section IV "Incremental Maintenance of M").
+/// `scratch` is reused working memory and selects the convolution kernel.
 /// A non-null `profile` accumulates per-phase timings (obs layer).
 DpRow ComputeNodeRow(const BinaryTree& tree, int32_t node,
                      const DpMatrix& matrix, int k, const DpOptions& options,
-                     DpPhaseProfile* profile = nullptr);
+                     DpScratch* scratch, DpPhaseProfile* profile = nullptr);
 
 }  // namespace pasa
 

@@ -45,17 +45,28 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
     return tree_.node(a).depth > tree_.node(b).depth;
   });
 
+  DpScratch scratch;
+  DpPhaseProfile profile;  // dirty leaves' laps go to leaf_init, unreported
+  DpPhaseProfile* p = obs::Enabled() ? &profile : nullptr;
   size_t recomputed = 0;
   for (const int32_t id : dirty) {
     if (!tree_.node(id).live) {
       matrix_.rows[id] = DpRow{};  // reclaim abandoned rows
       continue;
     }
-    matrix_.rows[id] = ComputeNodeRow(tree_, id, matrix_, k_, dp_options_);
+    matrix_.rows[id] =
+        ComputeNodeRow(tree_, id, matrix_, k_, dp_options_, &scratch, p);
     ++recomputed;
   }
-  if (obs::Enabled()) {
+  if (p != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
+    if (dp_options_.two_stage) {
+      registry.RecordSpan("incremental/repair/temp_convolution",
+                          p->Seconds(p->temp_convolution_ticks),
+                          p->internal_rows);
+      registry.RecordSpan("incremental/repair/suffix_sweep",
+                          p->Seconds(p->suffix_sweep_ticks), p->internal_rows);
+    }
     registry.GetCounter("incremental/moves_applied").Increment(moves.size());
     registry.GetCounter("incremental/rows_recomputed").Increment(recomputed);
     registry.GetCounter("incremental/repairs").Increment();

@@ -279,7 +279,8 @@ TEST_F(ProvenanceTest, FinishRequestDerivesEachLayerFromItsPhases) {
 
 // The tail ring keeps time on the clock FinishRequest books windows and
 // SLOs at: a slow request finished at steady time t has left the ring's
-// 60 s window once a fast one finishes at t + 61 s.
+// 60 s window once a fast one finishes at t + 61 s. The export is read at
+// t + 61 s on the same clock.
 TEST_F(ProvenanceTest, TailRingRunsOnTheRequestClock) {
   TailTraceRing& tail = TailTraceRing::Global();
   tail.Enable();
@@ -295,7 +296,7 @@ TEST_F(ProvenanceTest, TailRingRunsOnTheRequestClock) {
   fast.outcome = RequestOutcome::kServed;
   fast.total_seconds = 0.001;
   FinishRequest(std::move(fast), {}, kT + 61'000'000);
-  Result<json::Value> doc = json::Parse(tail.ExportJson());
+  Result<json::Value> doc = json::Parse(tail.ExportJson(kT + 61'000'000));
   tail.Disable();
   tail.Reset();
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();

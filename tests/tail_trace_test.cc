@@ -59,7 +59,7 @@ TEST_F(TailTraceRingTest, KeepsSlowestSorted) {
   ring.Offer(Make(99, kServed), kNoSpans, 0.0005, 1);  // too fast: dropped
   EXPECT_EQ(ring.slowest_size(), TailTraceRing::kSlowestCapacity);
 
-  Result<json::Value> doc = json::Parse(ring.ExportJson());
+  Result<json::Value> doc = json::Parse(ring.ExportJson(1));
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const json::Value* slowest = doc->Find("slowest");
   ASSERT_NE(slowest, nullptr);
@@ -113,13 +113,36 @@ TEST_F(TailTraceRingTest, WindowEvictsOldSlowest) {
   // request is all that is left.
   ring.Offer(Make(3, kServed), kNoSpans, 0.0001,
              2 * TailTraceRing::kWindowMicros + 1001);
-  Result<json::Value> doc = json::Parse(ring.ExportJson());
+  Result<json::Value> doc = json::Parse(
+      ring.ExportJson(2 * TailTraceRing::kWindowMicros + 1001));
   ASSERT_TRUE(doc.ok());
   EXPECT_DOUBLE_EQ(doc->Find("window_seconds")->number(),
                    TailTraceRing::kWindowMicros / 1e6);
   const json::Value* slowest = doc->Find("slowest");
   ASSERT_EQ(slowest->array().size(), 1u);
   EXPECT_EQ(slowest->array()[0].Find("trace_id")->str(), TraceIdHex(3));
+}
+
+TEST_F(TailTraceRingTest, ExportDropsSlowestOutsideTheWindow) {
+  TailTraceRing& ring = TailTraceRing::Global();
+  ring.Enable();
+  // One request, then no further Offer, as when traffic stops: read 1 s
+  // after it finished the export lists it, read 120 s after it the export
+  // itself must drop it from the 60 s window.
+  const uint64_t finished = NowMicros();
+  ring.Offer(Make(1, kServed), kNoSpans, 0.5, finished);
+  Result<json::Value> doc = json::Parse(ring.ExportJson(finished + 1'000'000));
+  ASSERT_TRUE(doc.ok());
+  EXPECT_DOUBLE_EQ(doc->Find("window_seconds")->number(), 60.0);
+  ASSERT_EQ(doc->Find("slowest")->array().size(), 1u);
+  EXPECT_EQ(doc->Find("slowest")->array()[0].Find("trace_id")->str(),
+            TraceIdHex(1));
+
+  doc = json::Parse(ring.ExportJson(finished + 120'000'000));
+  ASSERT_TRUE(doc.ok());
+  EXPECT_DOUBLE_EQ(doc->Find("window_seconds")->number(), 60.0);
+  EXPECT_TRUE(doc->Find("slowest")->array().empty());
+  EXPECT_EQ(ring.slowest_size(), 0u);
 }
 
 TEST_F(TailTraceRingTest, ExportCarriesSpans) {
@@ -130,7 +153,7 @@ TEST_F(TailTraceRingTest, ExportCarriesSpans) {
   spans.push_back(CollectedSpan{11, 10, "net/dispatch/csp", 100.0, 9000.0});
   ring.Offer(Make(0xabc, kServed), spans, 0.010, 1);
 
-  const std::string body = ring.ExportJson();
+  const std::string body = ring.ExportJson(1);
   Result<json::Value> doc = json::Parse(body);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   const json::Value* slowest = doc->Find("slowest");

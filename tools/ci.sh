@@ -183,8 +183,9 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   # /metrics must be valid Prometheus exposition text, /healthz must answer,
   # and /profile must contain folded stacks naming the Bulk_dp spans
   # recorded during the policy build (span self times, no profiling flag).
+  # The scrape also names the (min,+) kernel ISA Bulk_dp dispatched to.
   "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /metrics --check 1 > /dev/null
+      --path /metrics --check 1 | grep -q '^pasa_bulk_dp_kernel_info{isa="'
   "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
       --path /healthz | grep -q '^ok'
   # /healthz now carries drain state and uptime alongside the ok contract.
