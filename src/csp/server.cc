@@ -13,24 +13,19 @@
 #include "obs/trace_sink.h"
 
 namespace pasa {
-namespace {
-
-// Counter for `path`, labeled {shard="<shard>"} when a shard is configured.
-obs::Counter& ShardCounter(const std::string& path, const std::string& shard) {
-  return obs::MetricsRegistry::Global().GetCounter(
-      shard.empty() ? path : obs::LabeledName(path, {{"shard", shard}}));
-}
-
-}  // namespace
 
 CspServer::CspServer(CspOptions options, MapExtent extent,
                      LocationDatabase snapshot, IncrementalAnonymizer engine,
                      ExtractedPolicy policy, PoiDatabase pois)
     : options_(options),
-      served_counter_(ShardCounter("csp/requests_served", options.shard)),
-      degraded_counter_(ShardCounter("csp/requests_degraded", options.shard)),
-      failed_counter_(ShardCounter("csp/requests_failed", options.shard)),
-      rejected_counter_(ShardCounter("csp/requests_rejected", options.shard)),
+      served_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "csp/requests_served")),
+      degraded_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "csp/requests_degraded")),
+      failed_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "csp/requests_failed")),
+      rejected_counter_(obs::MetricsRegistry::Global().GetCounter(
+          "csp/requests_rejected")),
       extent_(extent),
       snapshot_(std::move(snapshot)),
       engine_(std::make_unique<IncrementalAnonymizer>(std::move(engine))),
@@ -106,7 +101,7 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
   }
   if (receipt != nullptr) {
     receipt->rid = ar->rid;
-    receipt->group_size = policy_.group_sizes[node];
+    receipt->group_size = policy_.GroupSize(engine_->tree(), node);
     receipt->cloak = ar->cloak;
     receipt->degraded = answer->degraded;
   }
@@ -151,7 +146,7 @@ Result<AnonymizedRequest> CspServer::Cloak(const ServiceRequest& sr,
   int32_t node = -1;
   Result<AnonymizedRequest> ar = CloakRequest(sr, &node);
   if (ar.ok() && group_size != nullptr) {
-    *group_size = policy_.group_sizes[node];
+    *group_size = policy_.GroupSize(engine_->tree(), node);
   }
   return ar;
 }

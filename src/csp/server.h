@@ -27,12 +27,6 @@ struct CspOptions {
   double rebuild_fraction = 0.05;
   /// Retry/deadline/circuit-breaker tuning for the LBS hop.
   ResilienceOptions resilience;
-  /// When non-empty, this server's request counters are registered as
-  /// labeled series csp/requests_*{shard="<shard>"} instead of the
-  /// unlabeled family, giving per-shard dashboards when several CspServer
-  /// instances (the planned multi-reactor front end, the parallel runner's
-  /// per-jurisdiction servers) share one process.
-  std::string shard;
 };
 
 /// Bookkeeping returned by CspServer::AdvanceSnapshot.
@@ -193,8 +187,7 @@ class CspServer {
 
   CspOptions options_;
   /// Request-outcome counters, resolved once at construction so the serving
-  /// hot path never takes the registry mutex; labeled with
-  /// {shard="<options.shard>"} when a shard name is configured.
+  /// hot path never takes the registry mutex.
   obs::Counter& served_counter_;
   obs::Counter& degraded_counter_;
   obs::Counter& failed_counter_;

@@ -47,7 +47,7 @@ Result<BinaryTree> BinaryTree::BuildRooted(const LocationDatabase& db,
     const int32_t id = stack.back();
     stack.pop_back();
     if (tree.CanSplit(id)) {
-      tree.SplitLeafWithLocations(id);
+      tree.SplitLeaf(id);
       stack.push_back(tree.nodes_[id].first_child);
       stack.push_back(tree.nodes_[id].first_child + 1);
     }
@@ -112,7 +112,7 @@ BinaryTree::SplitPlan BinaryTree::PlanSplit(int32_t id) const {
   return plan;
 }
 
-void BinaryTree::SplitLeafWithLocations(int32_t id) {
+void BinaryTree::SplitLeaf(int32_t id) {
   assert(nodes_[id].IsLeaf());
   const SplitPlan plan = PlanSplit(id);
   const int32_t first = static_cast<int32_t>(nodes_.size());
@@ -231,7 +231,7 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
     const int32_t id = stack.back();
     stack.pop_back();
     if (CanSplit(id)) {
-      SplitLeafWithLocations(id);
+      SplitLeaf(id);
       const int32_t first = nodes_[id].first_child;
       dirty->push_back(first);
       dirty->push_back(first + 1);

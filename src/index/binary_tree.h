@@ -142,11 +142,9 @@ class BinaryTree {
 
   /// True if `id` may be split further (capacity, depth, and geometry).
   bool CanSplit(int32_t id) const;
-  /// Materializes the two children of leaf `id` and distributes its rows.
-  void SplitLeaf(int32_t id, const LocationDatabase& db);
-  /// Same, using a location callback instead of a LocationDatabase (the
-  /// incremental path tracks moved rows).
-  void SplitLeafWithLocations(int32_t id);
+  /// Materializes the two children of leaf `id` and distributes its rows
+  /// by their current locations in `row_locations_`.
+  void SplitLeaf(int32_t id);
   /// Turns internal node `id` back into a leaf, gathering descendant rows.
   void Collapse(int32_t id);
   void GatherRows(int32_t id, std::vector<uint32_t>* out) const;

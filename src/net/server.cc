@@ -395,11 +395,11 @@ void NetServer::Loop() {
 
     for (const PollEvent& event : events) {
       if (event.fd == listen_fd_) {
-        if (event.readable && !stopping_) HandleListener();
+        if (event.readable && !stopping_) AcceptConnections(false);
         continue;
       }
       if (event.fd == admin_listen_fd_) {
-        if (event.readable && !stopping_) HandleAdminListener();
+        if (event.readable && !stopping_) AcceptConnections(true);
         continue;
       }
       if (event.fd == wake_fds_[0]) {
@@ -504,15 +504,16 @@ void NetServer::RefreshMemoryTelemetry() {
   accountant.PublishGauges(obs::MetricsRegistry::Global());
 }
 
-void NetServer::HandleListener() {
+void NetServer::AcceptConnections(bool admin) {
   static obs::Counter& accepted =
       obs::MetricsRegistry::Global().GetCounter("net/connections_accepted");
   static obs::Counter& rejected =
       obs::MetricsRegistry::Global().GetCounter("net/connections_rejected");
   while (true) {
-    const int fd = accept(listen_fd_, nullptr, nullptr);
+    const int fd = accept(admin ? admin_listen_fd_ : listen_fd_, nullptr,
+                          nullptr);
     if (fd < 0) return;  // EAGAIN or transient error: back to the poller
-    if (conns_.size() >= options_.max_connections) {
+    if (!admin && conns_.size() >= options_.max_connections) {
       close(fd);
       ++connections_rejected_;
       rejected.Increment();
@@ -530,39 +531,21 @@ void NetServer::HandleListener() {
     Conn conn;
     conn.id = next_conn_id_++;
     conn.fd = fd;
+    if (admin) {
+      conn.is_admin = true;
+      conn.http = std::make_unique<HttpParser>();
+      // Registered on the first admin accept, so a server without an admin
+      // plane exports no admin series.
+      static obs::Counter& admin_accepted =
+          obs::MetricsRegistry::Global().GetCounter("net/admin/connections");
+      ++admin_connections_;
+      admin_accepted.Increment();
+    } else {
+      ++connections_accepted_;
+      accepted.Increment();
+    }
     fd_of_conn_[conn.id] = fd;
     conns_[fd] = std::move(conn);
-    ++connections_accepted_;
-    accepted.Increment();
-  }
-}
-
-void NetServer::HandleAdminListener() {
-  static obs::Counter& accepted =
-      obs::MetricsRegistry::Global().GetCounter("net/admin/connections");
-  while (true) {
-    const int fd = accept(admin_listen_fd_, nullptr, nullptr);
-    if (fd < 0) return;
-    // No max_connections check: the operator plane must stay reachable
-    // exactly when the serving plane is saturated.
-    if (!SetNonBlocking(fd).ok()) {
-      close(fd);
-      continue;
-    }
-    SetNoDelay(fd);
-    if (!poller_->Add(fd).ok()) {
-      close(fd);
-      continue;
-    }
-    Conn conn;
-    conn.id = next_conn_id_++;
-    conn.fd = fd;
-    conn.is_admin = true;
-    conn.http = std::make_unique<HttpParser>();
-    fd_of_conn_[conn.id] = fd;
-    conns_[fd] = std::move(conn);
-    ++admin_connections_;
-    accepted.Increment();
   }
 }
 

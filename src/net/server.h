@@ -199,10 +199,10 @@ class NetServer {
   /// their ApproxBytes) and publishes the mem/* gauges. Run by each admin
   /// read that shows memory (/metrics, /memory, /vars), never by the loop.
   void RefreshMemoryTelemetry();
-  void HandleListener();
-  /// Accepts admin-plane connections: never rejected for max_connections
-  /// (the operator plane must stay reachable under overload).
-  void HandleAdminListener();
+  /// Accepts every pending connection on the serving (`admin` false) or the
+  /// admin listener. Only the serving plane is capped at max_connections:
+  /// the operator plane must stay reachable under overload.
+  void AcceptConnections(bool admin);
   void HandleReadable(Conn* conn);
   /// Parses and answers as many HTTP requests as the admin connection's
   /// buffer holds, inline on the loop thread (admission bypass).

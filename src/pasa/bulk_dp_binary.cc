@@ -28,8 +28,8 @@ uint64_t ReadTicks() {
 // (pass-up, cost) pairs.
 void AppendPassUps(const DpRow& row, uint32_t d,
                    std::vector<std::pair<uint32_t, Cost>>* out) {
-  for (int32_t l = 0; l <= row.cap; ++l) {
-    out->emplace_back(static_cast<uint32_t>(l), row.dense[l].cost);
+  for (size_t l = 0; l < row.dense.size(); ++l) {
+    out->emplace_back(static_cast<uint32_t>(l), row.dense[l]);
   }
   out->emplace_back(d, 0);
 }
@@ -44,15 +44,14 @@ int32_t ComputeCap(uint32_t d, int k, int depth, bool pruning) {
 
 DpRow ComputeLeafRow(const BinaryTree::Node& n, int k,
                      const DpOptions& options) {
-  DpRow row;
-  row.cap = ComputeCap(n.count, k, n.depth, options.lemma5_pruning);
-  if (!row.HasDense()) return row;  // d < k: clause (i), pass everything up.
+  // d < k (cap -1): clause (i), pass everything up; the row stays empty.
+  const int32_t cap = ComputeCap(n.count, k, n.depth, options.lemma5_pruning);
   const Cost area = n.region.Area();
-  row.dense.resize(row.cap + 1);
-  for (int32_t u = 0; u <= row.cap; ++u) {
+  DpRow row;
+  row.dense.resize(cap + 1);
+  for (int32_t u = 0; u <= cap; ++u) {
     // Clause (ii) second disjunct: cloak d - u >= k locations at the leaf.
-    row.dense[u].cost = area * static_cast<Cost>(n.count - u);
-    row.dense[u].children_pass = 0;
+    row.dense[u] = area * static_cast<Cost>(n.count - u);
   }
   return row;
 }
@@ -67,22 +66,24 @@ void FillDirect(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
   std::vector<std::pair<uint32_t, Cost>> f1, f2;
   AppendPassUps(r1, d1, &f1);
   AppendPassUps(r2, d2, &f2);
-  for (int32_t u = 0; u <= row->cap; ++u) {
-    DpEntry best;
+  const uint32_t n_row = static_cast<uint32_t>(row->dense.size());
+  for (uint32_t u = 0; u < n_row; ++u) {
+    Cost best = kInfiniteCost;
+    uint32_t best_j = 0;
     for (const auto& [l1, c1] : f1) {
       for (const auto& [l2, c2] : f2) {
         const uint32_t j = l1 + l2;
-        const uint32_t uu = static_cast<uint32_t>(u);
         // k-summation clause (iii)/(iv): cloak nothing or at least k.
-        if (j != uu && (j < uu || j - uu < static_cast<uint32_t>(k))) continue;
-        const Cost x = c1 + c2 + static_cast<Cost>(j - uu) * area;
-        if (x < best.cost) {
-          best.cost = x;
-          best.children_pass = j;
+        if (j != u && (j < u || j - u < static_cast<uint32_t>(k))) continue;
+        const Cost x = c1 + c2 + static_cast<Cost>(j - u) * area;
+        if (x < best) {
+          best = x;
+          best_j = j;
         }
       }
     }
     row->dense[u] = best;
+    row->children_pass[u] = best_j;
   }
   if (profile) profile->direct_scan_ticks += profile->Lap();
 }
@@ -134,14 +135,6 @@ void MergeRuns(const Run (&runs)[4], DpScratch* s) {
   s->g_cost.resize(w);
 }
 
-// Copies a row's dense costs into a contiguous array (empty when the row
-// has no dense part).
-const Cost* DenseCosts(const DpRow& row, std::vector<Cost>* out) {
-  out->resize(row.dense.size());
-  for (size_t l = 0; l < row.dense.size(); ++l) (*out)[l] = row.dense[l].cost;
-  return out->data();
-}
-
 // Two-stage evaluation (Section V "From O(|B|(kh)^3) to O(|B|(kh)^2)"):
 // stage 1 materializes g(j) = min cost of the children jointly passing up j
 // (the paper's temp matrix, here a sorted sparse list because the reachable
@@ -152,8 +145,8 @@ void FillTwoStage(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
                   DpScratch* s, DpPhaseProfile* profile) {
   const Cost area = n.region.Area();
   static constexpr Cost kZero = 0;
-  const Cost* c1 = DenseCosts(r1, &s->cost1);
-  const Cost* c2 = DenseCosts(r2, &s->cost2);
+  const Cost* c1 = r1.dense.data();
+  const Cost* c2 = r2.dense.data();
   const uint32_t n1 = static_cast<uint32_t>(r1.dense.size());
   const uint32_t n2 = static_cast<uint32_t>(r2.dense.size());
 
@@ -200,24 +193,26 @@ void FillTwoStage(const BinaryTree::Node& n, const DpRow& r1, const DpRow& r2,
   // first j >= u + k.
   size_t exact = 0;
   size_t far = 0;
-  for (int32_t u = 0; u <= row->cap; ++u) {
-    const uint32_t uu = static_cast<uint32_t>(u);
-    DpEntry best;
-    while (exact < g_size && g_j[exact] < uu) ++exact;
-    if (exact < g_size && g_j[exact] == uu) {
-      best.cost = g_cost[exact];
-      best.children_pass = uu;
+  const uint32_t n_row = static_cast<uint32_t>(row->dense.size());
+  for (uint32_t u = 0; u < n_row; ++u) {
+    Cost best = kInfiniteCost;
+    uint32_t best_j = 0;
+    while (exact < g_size && g_j[exact] < u) ++exact;
+    if (exact < g_size && g_j[exact] == u) {
+      best = g_cost[exact];
+      best_j = u;
     }
-    const uint32_t bound = uu + static_cast<uint32_t>(k);
+    const uint32_t bound = u + static_cast<uint32_t>(k);
     while (far < g_size && g_j[far] < bound) ++far;
     if (suffix_cost[far] != kInfiniteCost) {
-      const Cost x = suffix_cost[far] - static_cast<Cost>(uu) * area;
-      if (x < best.cost) {
-        best.cost = x;
-        best.children_pass = suffix_j[far];
+      const Cost x = suffix_cost[far] - static_cast<Cost>(u) * area;
+      if (x < best) {
+        best = x;
+        best_j = suffix_j[far];
       }
     }
     row->dense[u] = best;
+    row->children_pass[u] = best_j;
   }
   if (profile) profile->suffix_sweep_ticks += profile->Lap();
 }
@@ -247,11 +242,12 @@ DpRow ComputeNodeRow(const BinaryTree& tree, int32_t node,
   const uint32_t d1 = tree.node(c1).count;
   const uint32_t d2 = tree.node(c2).count;
 
+  const int32_t cap = ComputeCap(n.count, k, n.depth, options.lemma5_pruning);
   DpRow row;
-  row.cap = ComputeCap(n.count, k, n.depth, options.lemma5_pruning);
   if (profile) ++profile->internal_rows;
-  if (!row.HasDense()) return row;
-  row.dense.resize(row.cap + 1);
+  if (cap < 0) return row;
+  row.dense.resize(cap + 1);
+  row.children_pass.resize(cap + 1);
   if (options.two_stage) {
     FillTwoStage(n, r1, r2, d1, d2, k, &row, scratch, profile);
   } else {

@@ -24,30 +24,23 @@ struct DpOptions {
   bool two_stage = true;
 };
 
-/// One DP cell: minimum configuration cost for the subtree with C(m) = u,
-/// plus the bookkeeping needed to walk back down during extraction.
-struct DpEntry {
-  Cost cost = kInfiniteCost;
-  /// For internal nodes: the total number of locations the two children pass
-  /// up (j = C(m1) + C(m2)) in the minimizing configuration. Unused (0) for
-  /// leaves and for pass-everything entries.
-  uint32_t children_pass = 0;
-};
-
-/// The DP row of one tree node: entries for the "dense" pass-up values
-/// u = 0..cap (cap = min(d-k, Lemma-5 bound); cap == -1 when d < k so the
-/// dense part is empty). The u = d(m) entry ("pass everything up") always
+/// The DP row of one tree node over the "dense" pass-up values u = 0..cap,
+/// where cap = min(d-k, Lemma-5 bound) and cap = dense.size() - 1; the row
+/// is empty when d < k. The u = d(m) entry ("pass everything up") always
 /// exists implicitly with cost 0 and is not stored.
 struct DpRow {
-  int32_t cap = -1;
-  std::vector<DpEntry> dense;  ///< size cap + 1
+  /// dense[u]: minimum configuration cost of the subtree with C(m) = u.
+  std::vector<Cost> dense;
+  /// Internal rows only, one per cost: the number of locations the two
+  /// children pass up (j = C(m1) + C(m2)) in the minimizing configuration,
+  /// the bookkeeping extraction walks back down (0 where no configuration
+  /// exists). Empty for leaves, which have no children to split j between.
+  std::vector<uint32_t> children_pass;
 
-  bool HasDense() const { return cap >= 0; }
   /// Cost of C(m) = u; `u == d` is the implicit zero-cost entry.
   Cost CostAt(uint32_t u, uint32_t d) const {
     if (u == d) return 0;
-    if (cap < 0 || u > static_cast<uint32_t>(cap)) return kInfiniteCost;
-    return dense[u].cost;
+    return u < dense.size() ? dense[u] : kInfiniteCost;
   }
 };
 
@@ -86,16 +79,17 @@ struct DpPhaseProfile {
   uint64_t lap_ticks_;
 };
 
-/// Working memory of the two-stage fill: both children's costs copied into
-/// contiguous arrays, their (min,+) convolution, the merged temp list g and
-/// its suffix minima. One scratch serves every row of one ComputeDpMatrix or
-/// ApplyMoves call, so a row allocates only its own dense entries. A scratch
-/// is not shared between threads: each concurrent caller owns one.
+/// Working memory of the two-stage fill: the children's (min,+)
+/// convolution, the merged temp list g and its suffix minima (the kernel
+/// reads the children's cost arrays in place). One scratch serves every row
+/// of one ComputeDpMatrix or ApplyMoves call, so a row allocates only its
+/// own costs and passes. A scratch is not shared between threads: each
+/// concurrent caller owns one.
 struct DpScratch {
   explicit DpScratch(MinPlusIsa isa = DispatchedMinPlusIsa()) : isa(isa) {}
 
   MinPlusIsa isa;  ///< convolution kernel; must be MinPlusIsaSupported
-  std::vector<Cost> cost1, cost2, conv;
+  std::vector<Cost> conv;
   std::vector<uint32_t> g_j;  ///< g's j values, ascending
   std::vector<Cost> g_cost;   ///< g(j)
   std::vector<Cost> suffix_cost;
@@ -111,12 +105,14 @@ struct DpMatrix {
   /// of the optimal policy-aware sender k-anonymous policy.
   Result<Cost> OptimalCost(const BinaryTree& tree) const;
 
-  /// Approximate heap bytes of the matrix — the row array plus every dense
-  /// row's entry storage (memory accounting, obs/mem.h).
+  /// Approximate heap bytes of the matrix — the row array plus every row's
+  /// cost and pass arrays (memory accounting, obs/mem.h).
   uint64_t ApproxBytes() const {
     uint64_t bytes = static_cast<uint64_t>(rows.capacity()) * sizeof(DpRow);
     for (const DpRow& row : rows) {
-      bytes += static_cast<uint64_t>(row.dense.capacity()) * sizeof(DpEntry);
+      bytes += static_cast<uint64_t>(row.dense.capacity()) * sizeof(Cost) +
+               static_cast<uint64_t>(row.children_pass.capacity()) *
+                   sizeof(uint32_t);
     }
     return bytes;
   }

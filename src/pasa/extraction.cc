@@ -1,5 +1,6 @@
 #include "pasa/extraction.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "obs/provenance.h"
@@ -30,10 +31,8 @@ std::pair<uint32_t, uint32_t> FindChildSplit(const DpMatrix& matrix,
       split = {l1, l2};
     }
   };
-  if (r1.HasDense()) {
-    for (int32_t l1 = 0; l1 <= r1.cap; ++l1) {
-      consider(static_cast<uint32_t>(l1));
-    }
+  for (size_t l1 = 0; l1 < r1.dense.size(); ++l1) {
+    consider(static_cast<uint32_t>(l1));
   }
   consider(d1);
   assert(best < kInfiniteCost && "DP bookkeeping j has no valid child split");
@@ -78,8 +77,8 @@ Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
       u_of[c2] = d2;
     } else {
       const DpRow& row = matrix.rows[id];
-      assert(row.HasDense() && u <= static_cast<uint32_t>(row.cap));
-      const uint32_t j = row.dense[u].children_pass;
+      assert(u < row.children_pass.size());
+      const uint32_t j = row.children_pass[u];
       const auto [l1, l2] = FindChildSplit(matrix, j, d1, d2, c1, c2);
       u_of[c1] = l1;
       u_of[c2] = l2;
@@ -110,18 +109,21 @@ Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
     return pool;
   };
   std::vector<uint32_t> leftover = assign_pool(assign_pool, BinaryTree::kRootId);
-  if (!leftover.empty()) {
+  if (!leftover.empty() ||
+      std::find(out.assignment.begin(), out.assignment.end(), -1) !=
+          out.assignment.end()) {
     return Status::Internal("complete configuration left rows uncloaked");
   }
-
-  out.group_sizes.assign(tree.num_nodes(), 0);
-  for (size_t row = 0; row < num_rows; ++row) {
-    if (out.assignment[row] < 0) {
-      return Status::Internal("row " + std::to_string(row) + " unassigned");
-    }
-    ++out.group_sizes[out.assignment[row]];
-  }
   return out;
+}
+
+uint32_t ExtractedPolicy::GroupSize(const BinaryTree& tree,
+                                    int32_t node) const {
+  const BinaryTree::Node& n = tree.node(node);
+  const uint32_t available =
+      n.IsLeaf() ? n.count
+                 : config.C(n.first_child) + config.C(n.first_child + 1);
+  return available - config.C(node);
 }
 
 CloakingTable ExtractedPolicy::Table(const BinaryTree& tree) const {
@@ -150,7 +152,7 @@ void AnnotateCloakDecision(const BinaryTree& tree,
     record->tree_path = tree.PathString(node);
   }
   record->node_depth = cloak.depth;
-  record->group_size = policy.group_sizes[node];
+  record->group_size = policy.GroupSize(tree, node);
   record->passed_up = policy.config.C(node);
 }
 

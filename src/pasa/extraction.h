@@ -24,10 +24,14 @@ struct ProvenanceRecord;
 struct ExtractedPolicy {
   Configuration config;
   std::vector<int32_t> assignment;  ///< cloaking tree node per snapshot row
-  /// Rows assigned to each tree node: the size of the anonymity group a
-  /// sender cloaked at that node hides in (>= k for every node used).
-  std::vector<uint32_t> group_sizes;
   Cost cost = 0;
+
+  /// Rows assigned to `node` of `tree` (the tree this policy was extracted
+  /// from): the size of the anonymity group a sender cloaked there hides
+  /// in, >= k for every node used. Derived from the configuration: the
+  /// locations available at the node (d(m) at a leaf, C(m1) + C(m2) above)
+  /// minus the C(m) it passes up.
+  uint32_t GroupSize(const BinaryTree& tree, int32_t node) const;
 
   /// Materializes the per-row cloaks over `tree`, which must be the tree
   /// this policy was extracted from. For the callers that need a
@@ -39,8 +43,7 @@ struct ExtractedPolicy {
   /// obs/mem.h).
   uint64_t ApproxBytes() const {
     return config.ApproxBytes() +
-           static_cast<uint64_t>(assignment.capacity()) * sizeof(int32_t) +
-           static_cast<uint64_t>(group_sizes.capacity()) * sizeof(uint32_t);
+           static_cast<uint64_t>(assignment.capacity()) * sizeof(int32_t);
   }
 };
 

@@ -128,8 +128,7 @@ TEST(ConfigurationTest, QuadVariantsAgreeWithBinarySemantics) {
 
 TEST(DpRowTest, CostAtSemantics) {
   DpRow row;
-  row.cap = 2;
-  row.dense = {DpEntry{100, 0}, DpEntry{80, 0}, DpEntry{60, 0}};
+  row.dense = {100, 80, 60};
   const uint32_t d = 9;
   EXPECT_EQ(row.CostAt(0, d), 100);
   EXPECT_EQ(row.CostAt(2, d), 60);
@@ -138,6 +137,20 @@ TEST(DpRowTest, CostAtSemantics) {
   DpRow empty;
   EXPECT_EQ(empty.CostAt(0, 3), kInfiniteCost);
   EXPECT_EQ(empty.CostAt(3, 3), 0);
+}
+
+TEST(DpMatrixTest, ApproxBytesCountsCostsAndPasses) {
+  DpMatrix matrix;
+  matrix.rows.resize(3);
+  matrix.rows[0].dense = {70, 50, 30};  // internal: one pass per cost
+  matrix.rows[0].children_pass = {4, 9, 9};
+  matrix.rows[1].dense = {20, 10};  // leaf: costs only
+  ASSERT_EQ(matrix.rows.capacity(), 3u);
+  ASSERT_EQ(matrix.rows[0].dense.capacity(), 3u);
+  ASSERT_EQ(matrix.rows[0].children_pass.capacity(), 3u);
+  ASSERT_EQ(matrix.rows[1].dense.capacity(), 2u);
+  EXPECT_EQ(matrix.ApproxBytes(),
+            3 * sizeof(DpRow) + 5 * sizeof(Cost) + 3 * sizeof(uint32_t));
 }
 
 }  // namespace

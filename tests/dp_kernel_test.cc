@@ -1,6 +1,6 @@
 // Kernel equivalence for Bulk_dp's two-stage fill: every (min,+)
-// convolution variant this CPU supports fills every matrix row (cap, every
-// cost, every children_pass) bit-identically to the default variant, on
+// convolution variant this CPU supports fills every matrix row (every cost,
+// every children_pass) bit-identically to the default variant, on
 // random snapshots over a range of k, on a 10^5-user Bay Area snapshot, and
 // on the matrix incremental repair leaves behind.
 
@@ -44,23 +44,21 @@ DpMatrix FillAt(const BinaryTree& tree, int k, const DpOptions& options,
   return matrix;
 }
 
-// Every live node's row of `got` equals the row of `want`.
+// Every live node's row of `got` equals the row of `want`, and carries one
+// children_pass per cost when internal and none when a leaf.
 void ExpectSameRows(const BinaryTree& tree, const DpMatrix& got,
                     const DpMatrix& want, const std::string& label) {
   ASSERT_GE(got.rows.size(), tree.num_nodes()) << label;
   ASSERT_GE(want.rows.size(), tree.num_nodes()) << label;
   for (size_t i = 0; i < tree.num_nodes(); ++i) {
-    if (!tree.node(static_cast<int32_t>(i)).live) continue;
+    const BinaryTree::Node& n = tree.node(static_cast<int32_t>(i));
+    if (!n.live) continue;
     const DpRow& g = got.rows[i];
     const DpRow& w = want.rows[i];
-    ASSERT_EQ(g.cap, w.cap) << label << " node " << i;
-    ASSERT_EQ(g.dense.size(), w.dense.size()) << label << " node " << i;
-    for (size_t u = 0; u < w.dense.size(); ++u) {
-      ASSERT_EQ(g.dense[u].cost, w.dense[u].cost)
-          << label << " node " << i << " u " << u;
-      ASSERT_EQ(g.dense[u].children_pass, w.dense[u].children_pass)
-          << label << " node " << i << " u " << u;
-    }
+    ASSERT_EQ(g.dense, w.dense) << label << " node " << i;
+    ASSERT_EQ(g.children_pass, w.children_pass) << label << " node " << i;
+    ASSERT_EQ(g.children_pass.size(), n.IsLeaf() ? 0 : g.dense.size())
+        << label << " node " << i;
   }
 }
 

@@ -712,32 +712,14 @@ int RunMemstats(const Flags& flags) {
       return Fail(Status::InvalidArgument(
           "GET /memory returned no subsystems object"));
     }
-    // Re-render the document server-side numbers as the same table the
-    // offline path prints, sorted by bytes descending.
-    std::vector<std::pair<std::string, uint64_t>> rows;
-    uint64_t total = 0;
+    // Load the server's numbers into a local accountant so the table is
+    // the one the offline path prints.
+    obs::MemoryAccountant accountant;
     for (const auto& [name, bytes] : subsystems->object()) {
-      const uint64_t b = static_cast<uint64_t>(bytes.number());
-      rows.emplace_back(name, b);
-      total += b;
+      accountant.GetCounter(name).Set(static_cast<uint64_t>(bytes.number()));
     }
-    std::sort(rows.begin(), rows.end(), [](const auto& a, const auto& b) {
-      if (a.second != b.second) return a.second > b.second;
-      return a.first < b.first;
-    });
-    TablePrinter table({"subsystem", "bytes", "MiB", "share"});
-    for (const auto& [name, bytes] : rows) {
-      char mib[32], share[32];
-      std::snprintf(mib, sizeof(mib), "%.2f",
-                    static_cast<double>(bytes) / (1024.0 * 1024.0));
-      std::snprintf(share, sizeof(share), "%.1f%%",
-                    total == 0 ? 0.0
-                               : 100.0 * static_cast<double>(bytes) /
-                                     static_cast<double>(total));
-      table.AddRow({name, TablePrinter::Cell(static_cast<int64_t>(bytes)),
-                    mib, share});
-    }
-    table.Print();
+    std::printf("%s", accountant.SummaryTable().c_str());
+    const uint64_t total = accountant.TotalBytes();
     const obs::json::Value* users = doc->Find("users");
     const obs::json::Value* per_user = doc->Find("bytes_per_user");
     std::printf("total: %llu bytes", static_cast<unsigned long long>(total));
