@@ -7,13 +7,9 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <cstdio>
 #include <cstdlib>
@@ -35,15 +31,13 @@
 
 #include <optional>
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace pasa {
 namespace net {
 namespace {
 
 constexpr size_t kReadChunk = 64 * 1024;
+constexpr int kListenBacklog = 128;
+constexpr int kMaxEvents = 128;
 
 Status SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
@@ -61,8 +55,7 @@ void SetNoDelay(int fd) {
 
 // Creates a non-blocking loopback listener on `port` (0 picks a free one)
 // and reports the bound port through `bound_port`.
-Result<int> ListenOnLoopback(uint16_t port, int backlog,
-                             uint16_t* bound_port) {
+Result<int> ListenOnLoopback(uint16_t port, uint16_t* bound_port) {
   const int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) {
     return Status::Internal(std::string("socket: ") + std::strerror(errno));
@@ -80,7 +73,7 @@ Result<int> ListenOnLoopback(uint16_t port, int backlog,
     close(fd);
     return s;
   }
-  if (listen(fd, backlog) < 0) {
+  if (listen(fd, kListenBacklog) < 0) {
     const Status s =
         Status::Internal(std::string("listen: ") + std::strerror(errno));
     close(fd);
@@ -101,127 +94,19 @@ Result<int> ListenOnLoopback(uint16_t port, int backlog,
   return fd;
 }
 
+// Registers `fd` for level-triggered EPOLLIN under `tag`.
+Status Watch(int epoll_fd, int fd, uint64_t tag) {
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = tag;
+  if (epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
+    return Status::Internal(std::string("epoll_ctl(ADD): ") +
+                            std::strerror(errno));
+  }
+  return Status::Ok();
+}
+
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Poller backends.
-
-class NetServer::Poller {
- public:
-  virtual ~Poller() = default;
-  virtual Status Add(int fd) = 0;
-  virtual void Remove(int fd) = 0;
-  /// Level-triggered: write interest stays until turned off.
-  virtual void SetWriteInterest(int fd, bool on) = 0;
-  virtual Status Wait(int timeout_ms, std::vector<PollEvent>* events) = 0;
-};
-
-#ifdef __linux__
-class NetServer::EpollPoller : public Poller {
- public:
-  static Result<std::unique_ptr<Poller>> Create() {
-    const int fd = epoll_create1(0);
-    if (fd < 0) {
-      return Status::Internal(std::string("epoll_create1: ") +
-                              std::strerror(errno));
-    }
-    auto poller = std::unique_ptr<EpollPoller>(new EpollPoller());
-    poller->epoll_fd_ = fd;
-    return std::unique_ptr<Poller>(std::move(poller));
-  }
-
-  ~EpollPoller() override {
-    if (epoll_fd_ >= 0) close(epoll_fd_);
-  }
-
-  Status Add(int fd) override {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      return Status::Internal(std::string("epoll_ctl(ADD): ") +
-                              std::strerror(errno));
-    }
-    return Status::Ok();
-  }
-
-  void Remove(int fd) override {
-    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-
-  void SetWriteInterest(int fd, bool on) override {
-    epoll_event ev{};
-    ev.events = on ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-    ev.data.fd = fd;
-    epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev);
-  }
-
-  Status Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    epoll_event raw[128];
-    const int n = epoll_wait(epoll_fd_, raw, 128, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::Ok();
-      return Status::Internal(std::string("epoll_wait: ") +
-                              std::strerror(errno));
-    }
-    for (int i = 0; i < n; ++i) {
-      PollEvent event;
-      event.fd = raw[i].data.fd;
-      event.readable = (raw[i].events & EPOLLIN) != 0;
-      event.writable = (raw[i].events & EPOLLOUT) != 0;
-      event.broken = (raw[i].events & (EPOLLHUP | EPOLLERR)) != 0;
-      events->push_back(event);
-    }
-    return Status::Ok();
-  }
-
- private:
-  EpollPoller() = default;
-  int epoll_fd_ = -1;
-};
-#endif  // __linux__
-
-class NetServer::PollPoller : public Poller {
- public:
-  Status Add(int fd) override {
-    interest_[fd] = POLLIN;
-    return Status::Ok();
-  }
-
-  void Remove(int fd) override { interest_.erase(fd); }
-
-  void SetWriteInterest(int fd, bool on) override {
-    const auto it = interest_.find(fd);
-    if (it == interest_.end()) return;
-    it->second = static_cast<short>(POLLIN | (on ? POLLOUT : 0));
-  }
-
-  Status Wait(int timeout_ms, std::vector<PollEvent>* events) override {
-    fds_.clear();
-    for (const auto& [fd, mask] : interest_) {
-      fds_.push_back(pollfd{fd, mask, 0});
-    }
-    const int n = poll(fds_.data(), fds_.size(), timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) return Status::Ok();
-      return Status::Internal(std::string("poll: ") + std::strerror(errno));
-    }
-    for (const pollfd& p : fds_) {
-      if (p.revents == 0) continue;
-      PollEvent event;
-      event.fd = p.fd;
-      event.readable = (p.revents & POLLIN) != 0;
-      event.writable = (p.revents & POLLOUT) != 0;
-      event.broken = (p.revents & (POLLHUP | POLLERR | POLLNVAL)) != 0;
-      events->push_back(event);
-    }
-    return Status::Ok();
-  }
-
- private:
-  std::map<int, short> interest_;
-  std::vector<pollfd> fds_;
-};
 
 // ---------------------------------------------------------------------------
 // Lifecycle.
@@ -240,15 +125,13 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
   }
   auto server = std::unique_ptr<NetServer>(new NetServer(csp, options));
 
-  Result<int> listen_fd =
-      ListenOnLoopback(options.port, options.backlog, &server->port_);
+  Result<int> listen_fd = ListenOnLoopback(options.port, &server->port_);
   if (!listen_fd.ok()) return listen_fd.status();
   server->listen_fd_ = *listen_fd;
 
   if (options.admin_port >= 0) {
-    Result<int> admin_fd =
-        ListenOnLoopback(static_cast<uint16_t>(options.admin_port),
-                         options.backlog, &server->admin_port_);
+    Result<int> admin_fd = ListenOnLoopback(
+        static_cast<uint16_t>(options.admin_port), &server->admin_port_);
     if (!admin_fd.ok()) return admin_fd.status();
     server->admin_listen_fd_ = *admin_fd;
   }
@@ -258,23 +141,22 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
   }
   if (Status s = SetNonBlocking(server->wake_fds_[0]); !s.ok()) return s;
 
-#ifdef __linux__
-  if (!options.use_poll) {
-    Result<std::unique_ptr<Poller>> poller = EpollPoller::Create();
-    if (!poller.ok()) return poller.status();
-    server->poller_ = std::move(*poller);
+  server->epoll_fd_ = epoll_create1(0);
+  if (server->epoll_fd_ < 0) {
+    return Status::Internal(std::string("epoll_create1: ") +
+                            std::strerror(errno));
   }
-#endif
-  if (server->poller_ == nullptr) {
-    server->poller_ = std::make_unique<PollPoller>();
+  const int epoll_fd = server->epoll_fd_;
+  if (Status s = Watch(epoll_fd, server->listen_fd_, kListenTag); !s.ok()) {
+    return s;
   }
-  if (Status s = server->poller_->Add(server->listen_fd_); !s.ok()) return s;
   if (server->admin_listen_fd_ >= 0) {
-    if (Status s = server->poller_->Add(server->admin_listen_fd_); !s.ok()) {
+    if (Status s = Watch(epoll_fd, server->admin_listen_fd_, kAdminListenTag);
+        !s.ok()) {
       return s;
     }
   }
-  if (Status s = server->poller_->Add(server->wake_fds_[0]); !s.ok()) {
+  if (Status s = Watch(epoll_fd, server->wake_fds_[0], kWakeTag); !s.ok()) {
     return s;
   }
 
@@ -293,9 +175,7 @@ Result<std::unique_ptr<NetServer>> NetServer::Start(
 
   server->started_at_ = std::chrono::steady_clock::now();
   server->loop_ = std::thread(&NetServer::Loop, server.get());
-  obs::LogInfo("net", "listening on 127.0.0.1:%u (%s backend)",
-               unsigned{server->port_},
-               options.use_poll ? "poll" : "default");
+  obs::LogInfo("net", "listening on 127.0.0.1:%u", unsigned{server->port_});
   if (server->admin_listen_fd_ >= 0) {
     obs::LogInfo("net", "admin plane on http://127.0.0.1:%u",
                  unsigned{server->admin_port_});
@@ -309,6 +189,7 @@ NetServer::~NetServer() {
   if (admin_listen_fd_ >= 0) close(admin_listen_fd_);
   if (wake_fds_[0] >= 0) close(wake_fds_[0]);
   if (wake_fds_[1] >= 0) close(wake_fds_[1]);
+  if (epoll_fd_ >= 0) close(epoll_fd_);
 }
 
 void NetServer::Stop() {
@@ -350,7 +231,7 @@ NetServer::Stats NetServer::stats() const {
 // Event loop.
 
 void NetServer::Loop() {
-  std::vector<PollEvent> events;
+  epoll_event events[kMaxEvents];
   while (true) {
     if (stop_requested_.load(std::memory_order_relaxed)) stopping_ = true;
     if (stopping_) {
@@ -370,59 +251,60 @@ void NetServer::Loop() {
       // resume in FlushDirty), so a shutdown ack actually reaches the
       // client before the loop dies.
       bool outstanding = !pending_.empty();
-      for (auto& [fd, conn] : conns_) {
+      for (auto& [id, conn] : conns_) {
         if (conn.out_offset < conn.outbuf.size()) outstanding = true;
       }
       if (!outstanding) break;
     }
 
     // A tick with queued work or owed flushes (torn remainders) must not
-    // park in the poller.
+    // park in epoll_wait.
     const bool flush_owed = !dirty_.empty();
     const int timeout_ms = (!pending_.empty() || flush_owed) ? 0 : 50;
 
-    events.clear();
-    if (Status s = poller_->Wait(timeout_ms, &events); !s.ok()) {
-      obs::LogError("net", "poller failed: %s", s.ToString().c_str());
-      break;
+    int ready = epoll_wait(epoll_fd_, events, kMaxEvents, timeout_ms);
+    if (ready < 0) {
+      if (errno != EINTR) {
+        obs::LogError("net", "epoll_wait failed: %s", std::strerror(errno));
+        break;
+      }
+      ready = 0;
     }
 
     // Loop-saturation telemetry: time the busy part of the tick (everything
-    // between poller returns), but only for ticks that had actual work —
+    // between epoll_wait returns), but only for ticks that had actual work —
     // idle 50ms parks must not drown the histogram in zeros.
     WallTimer tick_timer;
-    const bool worked = !events.empty() || !pending_.empty() || flush_owed;
+    const bool worked = ready > 0 || !pending_.empty() || flush_owed;
 
-    for (const PollEvent& event : events) {
-      if (event.fd == listen_fd_) {
-        if (event.readable && !stopping_) AcceptConnections(false);
+    for (int i = 0; i < ready; ++i) {
+      const uint64_t tag = events[i].data.u64;
+      const uint32_t mask = events[i].events;
+      if (tag == kListenTag || tag == kAdminListenTag) {
+        if ((mask & EPOLLIN) && !stopping_) {
+          AcceptConnections(tag == kAdminListenTag);
+        }
         continue;
       }
-      if (event.fd == admin_listen_fd_) {
-        if (event.readable && !stopping_) AcceptConnections(true);
-        continue;
-      }
-      if (event.fd == wake_fds_[0]) {
+      if (tag == kWakeTag) {
         char drain[64];
         while (read(wake_fds_[0], drain, sizeof(drain)) > 0) {
         }
         continue;
       }
-      const auto it = conns_.find(event.fd);
-      if (it == conns_.end()) continue;
-      Conn* conn = &it->second;
-      const uint64_t conn_id = conn->id;
-      if (event.broken) {
-        CloseConn(conn_id);
+      Conn* conn = FindConn(tag);
+      if (conn == nullptr) continue;  // closed earlier in this batch
+      if (mask & (EPOLLHUP | EPOLLERR)) {
+        CloseConn(tag);
         continue;
       }
-      if (event.readable) HandleReadable(conn);
+      if (mask & EPOLLIN) HandleReadable(conn);
       // The read may have closed the connection; re-resolve before writing.
-      conn = FindConn(conn_id);
-      if (conn != nullptr && event.writable) FlushConn(conn);
+      conn = FindConn(tag);
+      if (conn != nullptr && (mask & EPOLLOUT)) FlushConn(conn);
     }
 
-    // Resume torn writes from previous ticks even without a poll event:
+    // Resume torn writes from previous ticks even without an epoll event:
     // the tear is ours, not the kernel's, so the socket is likely ready.
     FlushDirty();
 
@@ -435,13 +317,7 @@ void NetServer::Loop() {
   }
 
   // Close everything on the way out.
-  std::vector<uint64_t> ids;
-  ids.reserve(conns_.size());
-  for (auto& [fd, conn] : conns_) ids.push_back(conn.id);
-  for (const uint64_t id : ids) CloseConn(id);
-  poller_->Remove(listen_fd_);
-  if (admin_listen_fd_ >= 0) poller_->Remove(admin_listen_fd_);
-  poller_->Remove(wake_fds_[0]);
+  while (!conns_.empty()) CloseConn(conns_.begin()->first);
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     loop_exited_ = true;
@@ -487,7 +363,7 @@ void NetServer::RefreshMemoryTelemetry() {
   static obs::MemCounter& pending_payloads =
       accountant.GetCounter("net/pending_payloads");
   uint64_t buffer_bytes = 0;
-  for (const auto& [fd, conn] : conns_) {
+  for (const auto& [id, conn] : conns_) {
     buffer_bytes += conn.decoder.ApproxBytes();
     buffer_bytes += obs::StringApproxBytes(conn.outbuf);
     if (conn.http != nullptr) buffer_bytes += conn.http->ApproxBytes();
@@ -512,7 +388,7 @@ void NetServer::AcceptConnections(bool admin) {
   while (true) {
     const int fd = accept(admin ? admin_listen_fd_ : listen_fd_, nullptr,
                           nullptr);
-    if (fd < 0) return;  // EAGAIN or transient error: back to the poller
+    if (fd < 0) return;  // EAGAIN or transient error: back to epoll_wait
     if (!admin && conns_.size() >= options_.max_connections) {
       close(fd);
       ++connections_rejected_;
@@ -524,12 +400,13 @@ void NetServer::AcceptConnections(bool admin) {
       continue;
     }
     SetNoDelay(fd);
-    if (!poller_->Add(fd).ok()) {
+    const uint64_t id = next_conn_id_++;
+    if (!Watch(epoll_fd_, fd, id).ok()) {
       close(fd);
       continue;
     }
-    Conn conn;
-    conn.id = next_conn_id_++;
+    Conn& conn = conns_[id];
+    conn.id = id;
     conn.fd = fd;
     if (admin) {
       conn.is_admin = true;
@@ -544,30 +421,25 @@ void NetServer::AcceptConnections(bool admin) {
       ++connections_accepted_;
       accepted.Increment();
     }
-    fd_of_conn_[conn.id] = fd;
-    conns_[fd] = std::move(conn);
   }
 }
 
 NetServer::Conn* NetServer::FindConn(uint64_t conn_id) {
-  const auto id_it = fd_of_conn_.find(conn_id);
-  if (id_it == fd_of_conn_.end()) return nullptr;
-  const auto it = conns_.find(id_it->second);
+  const auto it = conns_.find(conn_id);
   return it == conns_.end() ? nullptr : &it->second;
 }
 
 void NetServer::CloseConn(uint64_t conn_id) {
-  Conn* conn = FindConn(conn_id);
-  if (conn == nullptr) return;
-  const int fd = conn->fd;
-  poller_->Remove(fd);
-  close(fd);
-  fd_of_conn_.erase(conn_id);
-  conns_.erase(fd);
+  const auto it = conns_.find(conn_id);
+  if (it == conns_.end()) return;
+  static obs::Counter& closed =
+      obs::MetricsRegistry::Global().GetCounter("net/connections_closed");
+  // The fd is the only reference to its socket, so close() also drops it
+  // from the epoll set.
+  close(it->second.fd);
+  conns_.erase(it);
   ++connections_closed_;
-  obs::MetricsRegistry::Global()
-      .GetCounter("net/connections_closed")
-      .Increment();
+  closed.Increment();
 }
 
 void NetServer::HandleReadable(Conn* conn) {
@@ -1098,7 +970,7 @@ void NetServer::FlushConn(Conn* conn) {
       continue;
     }
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      // The socket is full: the poller says when it drains.
+      // The socket is full: EPOLLOUT says when it drains.
       SetWriteInterest(conn, true);
       return;
     }
@@ -1114,7 +986,7 @@ void NetServer::FlushConn(Conn* conn) {
     if (conn->close_after_flush) CloseConn(conn_id);
   } else {
     // Torn write: the socket still has room, so the loop resumes it
-    // without waiting for the poller.
+    // without waiting for EPOLLOUT.
     MarkDirty(conn);
   }
 }
@@ -1141,7 +1013,10 @@ void NetServer::FlushDirty() {
 void NetServer::SetWriteInterest(Conn* conn, bool on) {
   if (conn->write_interest == on) return;
   conn->write_interest = on;
-  poller_->SetWriteInterest(conn->fd, on);
+  epoll_event ev{};
+  ev.events = on ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
+  ev.data.u64 = conn->id;
+  epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, conn->fd, &ev);
 }
 
 }  // namespace net

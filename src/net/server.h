@@ -30,7 +30,6 @@ inline constexpr char kSloNetLoopSaturation[] = "net/loop_saturation";
 struct NetServerOptions {
   /// TCP port to listen on; 0 picks a free port (read it back via port()).
   uint16_t port = 0;
-  int backlog = 128;
   /// Connections beyond this are accepted and immediately closed.
   size_t max_connections = 1024;
   /// Bounded pending-request queue: decoded requests waiting for a
@@ -40,8 +39,6 @@ struct NetServerOptions {
   /// Requests dispatched into CspServer per event-loop tick; bounds how
   /// long the loop stays away from the sockets.
   size_t max_batch = 256;
-  /// Forces the portable poll() backend even where epoll is available.
-  bool use_poll = false;
   /// Retry-after hint carried by admission-control rejections.
   uint64_t retry_after_micros = 1000;
   /// Graceful-drain budget on shutdown: the server stops accepting, keeps
@@ -64,12 +61,12 @@ struct NetServerOptions {
   int admin_port = -1;
 };
 
-/// Single-threaded non-blocking network front end for CspServer: one event
-/// loop (epoll on Linux, poll elsewhere or with use_poll) accepts
-/// connections, feeds their byte streams through per-connection
-/// FrameDecoders, batches decoded requests into CspServer calls once per
-/// tick, and writes length-prefixed responses back — tolerating partial
-/// reads, torn writes and hostile frames on every connection.
+/// Single-threaded non-blocking network front end for CspServer: one
+/// level-triggered epoll loop (Linux only) accepts connections, feeds
+/// their byte streams through per-connection FrameDecoders, batches
+/// decoded requests into CspServer calls once per tick, and writes
+/// length-prefixed responses back — tolerating partial reads, torn writes
+/// and hostile frames on every connection.
 ///
 /// All CspServer calls happen on the loop thread, so the (single-threaded)
 /// CSP needs no locking. Backpressure is a bounded pending-request queue:
@@ -144,31 +141,25 @@ class NetServer {
   Stats stats() const;
 
  private:
-  /// One readiness event from the poller backend.
-  struct PollEvent {
-    int fd = -1;
-    bool readable = false;
-    bool writable = false;
-    bool broken = false;  ///< HUP/ERR: close the connection
-  };
-
-  /// Minimal readiness-notification abstraction: epoll where available,
-  /// poll() as the portable fallback. Level-triggered in both backends.
-  class Poller;
-  class EpollPoller;
-  class PollPoller;
+  /// epoll_event.data.u64 tags: a connection's tag is its id, and the
+  /// three fixed fds take the values below the first id.
+  static constexpr uint64_t kListenTag = 0;
+  static constexpr uint64_t kAdminListenTag = 1;
+  static constexpr uint64_t kWakeTag = 2;
+  static constexpr uint64_t kFirstConnId = 3;
 
   /// Per-connection state.
   struct Conn {
-    uint64_t id = 0;  ///< never reused, unlike the fd
+    /// Never reused, unlike the fd; also the connection's epoll tag, so a
+    /// readiness event reaches only the connection it was registered for.
+    uint64_t id = 0;
     int fd = -1;
     FrameDecoder decoder;
     std::string outbuf;        ///< encoded responses awaiting write
     size_t out_offset = 0;     ///< bytes of outbuf already written
     bool close_after_flush = false;
-    /// EPOLLOUT/POLLOUT armed in the poller: set only while a send() is
-    /// blocked on a full socket buffer, so the poller is told only when
-    /// the wanted state changes.
+    /// EPOLLOUT armed: set only while a send() is blocked on a full socket
+    /// buffer, so epoll_ctl runs only when the wanted state changes.
     bool write_interest = false;
     /// Listed in dirty_: the loop owes this connection a flush.
     bool dirty = false;
@@ -223,17 +214,17 @@ class NetServer {
   void QueueResponse(Conn* conn, MsgType type, const std::string& payload);
   void QueueError(Conn* conn, const Status& status, uint64_t retry_after);
   /// Writes as much of the outbuf as the socket takes. What is left waits
-  /// for the poller (socket full) or, after a net/torn_write tear, for the
+  /// for EPOLLOUT (socket full) or, after a net/torn_write tear, for the
   /// next FlushDirty.
   void FlushConn(Conn* conn);
   /// Lists the connection in dirty_ (once) for the next FlushDirty.
   void MarkDirty(Conn* conn);
   /// Flushes every connection listed in dirty_ once, skipping those whose
-  /// socket is full (the poller resumes them). Tears made during this pass
+  /// socket is full (EPOLLOUT resumes them). Tears made during this pass
   /// are listed again for the next one.
   void FlushDirty();
-  /// Arms or disarms the connection's write interest, calling into the
-  /// poller only when the state changes.
+  /// Arms or disarms the connection's EPOLLOUT, calling epoll_ctl only
+  /// when the state changes.
   void SetWriteInterest(Conn* conn, bool on);
   void CloseConn(uint64_t conn_id);
   Conn* FindConn(uint64_t conn_id);
@@ -244,17 +235,16 @@ class NetServer {
   int listen_fd_ = -1;
   uint16_t admin_port_ = 0;
   int admin_listen_fd_ = -1;  ///< -1 when the admin plane is disabled
-  int wake_fds_[2] = {-1, -1};  ///< self-pipe: Stop() wakes the poller
+  int wake_fds_[2] = {-1, -1};  ///< self-pipe: Stop() wakes epoll_wait
+  int epoll_fd_ = -1;
 
-  std::unique_ptr<Poller> poller_;
-  std::map<int, Conn> conns_;             ///< by fd; loop thread only
-  std::map<uint64_t, int> fd_of_conn_;    ///< conn id -> fd; loop thread only
+  std::map<uint64_t, Conn> conns_;  ///< by conn id; loop thread only
   std::deque<Pending> pending_;  ///< loop thread only
-  /// Connections the loop owes a flush without waiting for the poller (the
+  /// Connections the loop owes a flush without waiting for epoll (the
   /// remainders of net/torn_write tears), by conn id (Conn::dirty
   /// dedupes). Loop thread only.
   std::vector<uint64_t> dirty_;
-  uint64_t next_conn_id_ = 1;
+  uint64_t next_conn_id_ = kFirstConnId;
   uint64_t loop_ticks_ = 0;  ///< worked ticks; loop thread only
   /// When the loop was spawned; /healthz uptime.
   std::chrono::steady_clock::time_point started_at_;

@@ -1,8 +1,8 @@
 // Loopback tests for the network front end: concurrent clients must get
 // correct, k-anonymous answers over real sockets; backpressure must reject
-// with a typed retryable error; the poll fallback must behave like epoll;
-// and net/* fault injection may hurt latency and availability but never
-// k-anonymity.
+// with a typed retryable error; a readiness event must reach only the
+// connection it was registered for; and net/* fault injection may hurt
+// latency and availability but never k-anonymity.
 
 #include "net/server.h"
 
@@ -362,21 +362,6 @@ TEST(NetServerTest, BackpressureRejectsWithRetryAfter) {
   fx.server->Stop();
 }
 
-TEST(NetServerTest, PollBackendServesLikeEpoll) {
-  NetServerOptions net_options;
-  net_options.use_poll = true;
-  Fixture fx(/*k=*/10, net_options);
-  std::atomic<int> failures{0};
-  std::vector<std::thread> clients;
-  for (size_t c = 0; c < 4; ++c) {
-    clients.emplace_back(ServeAndVerify, fx.server->port(), std::cref(fx.db),
-                         10, c * 25, static_cast<size_t>(25), &failures);
-  }
-  for (std::thread& t : clients) t.join();
-  EXPECT_EQ(failures.load(), 0);
-  fx.server->Stop();
-}
-
 TEST(NetServerTest, HealthAndStatsReportServerState) {
   Fixture fx;
   Result<NetClient> client = NetClient::Connect(fx.server->port());
@@ -615,26 +600,10 @@ TEST(NetServerTest, NetFaultsNeverWeakenAnonymity) {
 
 // ---------------------------------------------------------------------------
 // Write path: responses keep request order, and write interest is armed
-// only while a send is blocked. Each case runs on the epoll and on the poll
-// backend.
+// only while a send is blocked.
 
-class NetServerWritePathTest : public ::testing::TestWithParam<bool> {
- protected:
-  static NetServerOptions Backend() {
-    NetServerOptions options;
-    options.use_poll = GetParam();
-    return options;
-  }
-};
-
-INSTANTIATE_TEST_SUITE_P(Backends, NetServerWritePathTest,
-                         ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "Poll" : "Epoll";
-                         });
-
-TEST_P(NetServerWritePathTest, PipelinedBurstKeepsRequestOrder) {
-  Fixture fx(/*k=*/10, Backend());
+TEST(NetServerWritePathTest, PipelinedBurstKeepsRequestOrder) {
+  Fixture fx(/*k=*/10);
   Result<NetClient> client = NetClient::Connect(fx.server->port());
   ASSERT_TRUE(client.ok());
   const int kBurst = 64;
@@ -668,10 +637,10 @@ TEST_P(NetServerWritePathTest, PipelinedBurstKeepsRequestOrder) {
 }
 
 // net/torn_write on every flush: each flush writes half of what is owed.
-// The loop must finish the response on its own, without waiting for a poll
-// event or for another request on the connection.
-TEST_P(NetServerWritePathTest, TornRemaindersGoOutWithoutAnotherRequest) {
-  Fixture fx(/*k=*/10, Backend());
+// The loop must finish the response on its own, without waiting for an
+// epoll event or for another request on the connection.
+TEST(NetServerWritePathTest, TornRemaindersGoOutWithoutAnotherRequest) {
+  Fixture fx(/*k=*/10);
   struct Disarm {
     ~Disarm() { fault::FaultInjector::Global().Disarm(); }
   } disarm;
@@ -757,8 +726,8 @@ Result<Frame> ReadFrameFrom(int fd, FrameDecoder* decoder) {
   }
 }
 
-TEST_P(NetServerWritePathTest, WriteInterestIsReleasedAfterTheSocketDrains) {
-  Fixture fx(/*k=*/10, Backend());
+TEST(NetServerWritePathTest, WriteInterestIsReleasedAfterTheSocketDrains) {
+  Fixture fx(/*k=*/10);
   const ScopedFd conn{ConnectWithReceiveBuffer(
       fx.server->port(), /*rcvbuf=*/4096, /*timeout_seconds=*/10)};
   const int fd = conn.fd;
@@ -814,6 +783,61 @@ TEST_P(NetServerWritePathTest, WriteInterestIsReleasedAfterTheSocketDrains) {
   const uint64_t ticks_before = lag.count();
   std::this_thread::sleep_for(std::chrono::milliseconds(250));
   EXPECT_LE(lag.count() - ticks_before, 5u);
+  fx.server->Stop();
+}
+
+// Connections are keyed by id, never by fd. A pipelines a burst and closes
+// while most of it is still queued behind max_batch = 1; B, which the
+// kernel usually hands A's fd, must get exactly its own two responses, in
+// order, and no frame meant for A (A's would be kAnonymizeResponse).
+TEST(NetServerTest, ReusedFdGetsOnlyItsOwnResponses) {
+  NetServerOptions net_options;
+  net_options.max_batch = 1;
+  net_options.max_pending = 1 << 16;
+  Fixture fx(/*k=*/10, net_options);
+  {
+    Result<NetClient> a = NetClient::Connect(fx.server->port());
+    ASSERT_TRUE(a.ok());
+    const auto& row = fx.db.row(0);
+    const std::string request =
+        EncodeFrame(MsgType::kAnonymizeRequest,
+                    EncodeServiceRequest({row.user, row.location, {}}));
+    std::string burst;
+    for (int i = 0; i < 50000; ++i) burst += request;
+    ASSERT_TRUE(SendAll(a->fd(), burst));
+  }  // A closes without reading a response
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server->stats().connections_closed < 1 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fx.server->stats().connections_closed, 1u);
+
+  Result<NetClient> b = NetClient::Connect(fx.server->port());
+  ASSERT_TRUE(b.ok());
+  const auto& row = fx.db.row(400);
+  const ServiceRequest sr{row.user, row.location, {{"poi", "rest"}}};
+  ASSERT_TRUE(b->SendFrame(MsgType::kHealthRequest, "").ok());
+  ASSERT_TRUE(
+      b->SendFrame(MsgType::kServeRequest, EncodeServiceRequest(sr)).ok());
+
+  Result<Frame> health = b->ReadFrame(10.0);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_EQ(health->type, MsgType::kHealthResponse);
+  Result<Frame> served = b->ReadFrame(10.0);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_EQ(served->type, MsgType::kServeResponse);
+  Result<ServeResponseMsg> msg = DecodeServeResponse(served->payload);
+  ASSERT_TRUE(msg.ok());
+  const Rect cloak{msg->cloak_x1, msg->cloak_y1, msg->cloak_x2,
+                   msg->cloak_y2};
+  EXPECT_TRUE(cloak.Contains(sr.location));
+  EXPECT_GE(msg->group_size, 10u);
+
+  Result<Frame> extra = b->ReadFrame(0.3);
+  EXPECT_EQ(extra.status().code(), StatusCode::kDeadlineExceeded)
+      << "B received a frame it never asked for";
   fx.server->Stop();
 }
 

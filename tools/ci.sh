@@ -184,15 +184,22 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   # and /profile must contain folded stacks naming the Bulk_dp spans
   # recorded during the policy build (span self times, no profiling flag).
   # The scrape also names the (min,+) kernel ISA Bulk_dp dispatched to.
-  "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /metrics --check 1 | grep -q '^pasa_bulk_dp_kernel_info{isa="'
-  "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /healthz | grep -q '^ok'
+  # Each body is captured before grep reads it: piped, `grep -q` exits at
+  # its first match and the scrape's next write dies of SIGPIPE, which
+  # pipefail turns into a failed step.
+  metrics_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${admin_port}" --path /metrics --check 1)"
+  grep -q '^pasa_bulk_dp_kernel_info{isa="' <<< "${metrics_doc}"
+  healthz_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${admin_port}" --path /healthz)"
+  grep -q '^ok' <<< "${healthz_doc}"
   # /healthz now carries drain state and uptime alongside the ok contract.
-  "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /healthz | grep -q 'state=serving'
-  "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /profile | grep -q 'bulk_dp'
+  healthz_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${admin_port}" --path /healthz)"
+  grep -q 'state=serving' <<< "${healthz_doc}"
+  profile_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${admin_port}" --path /profile)"
+  grep -q 'bulk_dp' <<< "${profile_doc}"
   # Memory accounting over live traffic: GET /memory reports the serving
   # structures, and the event-loop saturation histogram shows worked ticks.
   mem_doc="$("${prefix}-release/tools/pasa_cli" scrape \
@@ -201,10 +208,12 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
                    net/conn_buffers; do
     grep -q "\"${subsystem}\"" <<< "${mem_doc}"
   done
-  "${prefix}-release/tools/pasa_cli" scrape --port "${admin_port}" \
-      --path /metrics | grep -q 'pasa_net_loop_lag_seconds_count'
-  "${prefix}-release/tools/pasa_cli" memstats --port "${admin_port}" \
-      | grep -q 'csp/policy_tree'
+  metrics_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${admin_port}" --path /metrics)"
+  grep -q 'pasa_net_loop_lag_seconds_count' <<< "${metrics_doc}"
+  memstats_doc="$("${prefix}-release/tools/pasa_cli" memstats \
+      --port "${admin_port}")"
+  grep -q 'csp/policy_tree' <<< "${memstats_doc}"
   # A final small run shuts the server down cleanly. No --admin-port here:
   # the cross-check compares a single run's client count against the
   # server's cumulative counter, which by now also holds the main run.
@@ -254,8 +263,9 @@ if [[ "${PASA_CI_SKIP_RELEASE:-0}" != "1" ]]; then
   # The client logged the same id when it originated the request...
   grep -q "${slow_id}" "${trace_dir}/ci_latency.csv"
   # ...and the Prometheus scrape carries exemplars and stays conformant.
-  "${prefix}-release/tools/pasa_cli" scrape --port "${trace_admin}" \
-      --path /metrics --check 1 | grep -q '# {trace_id='
+  metrics_doc="$("${prefix}-release/tools/pasa_cli" scrape \
+      --port "${trace_admin}" --path /metrics --check 1)"
+  grep -q '# {trace_id=' <<< "${metrics_doc}"
   "${prefix}-release/tools/pasa_loadgen" --port "${trace_port}" \
       --in "${net_locs}" --k 50 --connections 1 --requests 10 \
       --shutdown 1

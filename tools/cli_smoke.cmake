@@ -246,11 +246,9 @@ run_or_die(1 ${CLI} trace-merge --client ${WORK_DIR}/no_such_trace.json
 run_or_die(2 ${CLI} slowest)
 run_or_die(1 ${CLI} slowest --port 1)
 
-# Bad --listen invocations are usage errors: out-of-range port, unknown
-# backend, nonsensical pending bound.
+# Bad --listen invocations are usage errors: out-of-range port,
+# nonsensical pending bound.
 run_or_die(2 ${CLI} serve --in ${LOC} --k 20 --listen 99999999)
-run_or_die(2 ${CLI} serve --in ${LOC} --k 20 --listen 18080
-           --net-backend sideways)
 run_or_die(2 ${CLI} serve --in ${LOC} --k 20 --listen 18080 --max-pending 0)
 
 # The state-space explorer: a small bounded instance is covered

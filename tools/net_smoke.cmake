@@ -18,14 +18,14 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "generate exited ${rc}\n${out}\n${err}")
 endif()
 
-# Closed-loop load on the epoll backend (the default). The loadgen comes
-# first in the pipeline so its stdout drains into the still-running server
-# (which ignores stdin) rather than into a closed pipe; the server's final
-# stats table is what OUTPUT_VARIABLE captures. The loadgen's verification
-# verdict is its exit code (1 on any non-k-anonymous answer, or on a
-# /metrics cross-check mismatch against the admin plane: with --admin-port
-# it scrapes pasa_net_requests_served before sending the shutdown and
-# requires it to equal its own dispatched-request count).
+# Closed-loop load. The loadgen comes first in the pipeline so its stdout
+# drains into the still-running server (which ignores stdin) rather than
+# into a closed pipe; the server's final stats table is what
+# OUTPUT_VARIABLE captures. The loadgen's verification verdict is its exit
+# code (1 on any non-k-anonymous answer, or on a /metrics cross-check
+# mismatch against the admin plane: with --admin-port it scrapes
+# pasa_net_requests_served before sending the shutdown and requires it to
+# equal its own dispatched-request count).
 math(EXPR ADMIN_PORT "${PORT} + 2")
 execute_process(
   COMMAND ${LOADGEN} --port ${PORT} --in ${LOC} --k 20 --connections 4
@@ -50,10 +50,9 @@ foreach(required_fragment
   endif()
 endforeach()
 
-# Same exchange on the portable poll() backend, open loop, with the net/*
-# fault plan armed: drops, torn writes and one-byte reads may cost latency
-# and availability but never k-anonymity (the loadgen still verifies every
-# answer that arrives).
+# Same exchange open loop, with the net/* fault plan armed: drops, torn
+# writes and one-byte reads may cost latency and availability but never
+# k-anonymity (the loadgen still verifies every answer that arrives).
 set(PLAN ${WORK_DIR}/net_smoke_fault_plan.json)
 file(WRITE ${PLAN} "{\n"
      "  \"seed\": 42,\n"
@@ -69,7 +68,7 @@ execute_process(
           --mode open --rate 2000 --duration-seconds 1
           --wait-ready-seconds 30 --shutdown 1
   COMMAND ${CLI} serve --in ${LOC} --k 20 --listen ${PORT2}
-          --listen-duration 60 --net-backend poll --fault-plan ${PLAN}
+          --listen-duration 60 --fault-plan ${PLAN}
   RESULTS_VARIABLE rcs OUTPUT_VARIABLE serve_out ERROR_VARIABLE err)
 list(GET rcs 0 loadgen_rc)
 list(GET rcs 1 serve_rc)

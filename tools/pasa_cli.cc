@@ -8,8 +8,7 @@
 //   pasa_cli serve     --in locations.csv --k 50 [--snapshots N]
 //                      [--requests R] [--seed S] [--watch N]
 //                      [--listen PORT] [--listen-duration SECONDS]
-//                      [--max-pending N] [--net-backend epoll|poll]
-//                      [--admin-port P]
+//                      [--max-pending N] [--admin-port P]
 //   pasa_cli scrape    --port P [--path /metrics] [--check 1]
 //   pasa_cli explain   --audit audit.jsonl [--rid N] [--limit N]
 //                      [--only served|degraded|failed|rejected|violations]
@@ -152,8 +151,8 @@ int Usage() {
       "  pasa_cli serve     --in F --k K [--snapshots N] [--requests R] "
       "[--seed S] [--watch N]\n"
       "                     [--listen PORT] [--listen-duration SECONDS]\n"
-      "                     [--max-pending N] [--net-backend epoll|poll]\n"
-      "                     [--admin-port P] [--exemplars 1]\n"
+      "                     [--max-pending N] [--admin-port P] "
+      "[--exemplars 1]\n"
       "  pasa_cli scrape    --port P [--path /metrics] [--check 1]\n"
       "  pasa_cli memstats  --port P | --in F [--k K] [--seed S]\n"
       "  pasa_cli explain   --audit F.jsonl [--rid N] [--limit N]\n"
@@ -486,8 +485,6 @@ int RunListen(CspServer* csp, const Flags& flags, int k) {
   options.port = static_cast<uint16_t>(flags.GetInt("listen", 0));
   options.max_pending =
       static_cast<size_t>(flags.GetInt("max-pending", 4096));
-  options.max_batch = static_cast<size_t>(flags.GetInt("max-batch", 256));
-  options.use_poll = flags.GetString("net-backend", "epoll") == "poll";
   if (flags.Has("admin-port")) {
     options.admin_port = static_cast<int>(flags.GetInt("admin-port", -1));
   }
@@ -561,11 +558,8 @@ int RunServe(const Flags& flags) {
   if (flags.Has("listen")) {
     const int64_t port = flags.GetInt("listen", 0);
     if (port < 0 || port > 65535) return Usage();
-    const std::string backend = flags.GetString("net-backend", "epoll");
-    if (backend != "epoll" && backend != "poll") return Usage();
     if (flags.GetDouble("listen-duration", 30.0) <= 0.0 ||
         flags.GetInt("max-pending", 4096) < 1 ||
-        flags.GetInt("max-batch", 256) < 1 ||
         flags.GetInt("admin-port", 0) < 0 ||
         flags.GetInt("admin-port", 0) > 65535) {
       return Usage();
