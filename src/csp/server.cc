@@ -59,7 +59,10 @@ Result<CspServer> CspServer::Start(LocationDatabase initial_snapshot,
   Result<IncrementalAnonymizer> engine = IncrementalAnonymizer::Build(
       initial_snapshot, extent, options.k, options.dp);
   if (!engine.ok()) return engine.status();
-  Result<ExtractedPolicy> policy = engine->ExtractPolicy();
+  Result<ExtractedPolicy> policy = [&] {
+    obs::ScopedSpan extract_span("extract_policy");
+    return engine->ExtractPolicy();
+  }();
   if (!policy.ok()) return policy.status();
   return CspServer(options, extent, std::move(initial_snapshot),
                    std::move(*engine), std::move(*policy), std::move(pois));

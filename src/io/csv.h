@@ -15,10 +15,11 @@ namespace pasa {
 /// Location databases:   userid,locx,locy            (header optional)
 /// Cloakings:            userid,x1,y1,x2,y2          (half-open rects)
 
-/// Parses a location database from CSV text. Blank lines and lines starting
-/// with '#' are skipped; a leading header row is detected and skipped.
-/// Returns InvalidArgument with a line number on malformed input or on a
-/// user id that an earlier row already used.
+/// Parses a location database from CSV text (the grammar is spelled out in
+/// README.md, "CSV formats"). Blank lines and lines starting with '#' are
+/// skipped; a leading header row is detected and skipped. Returns
+/// InvalidArgument with a line number on malformed input or on a user id
+/// that an earlier row already used.
 Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text);
 
 /// Serializes a snapshot (with header).

@@ -14,11 +14,10 @@ LocationDatabase::LocationDatabase(std::vector<UserLocation> rows)
   }
 }
 
-void LocationDatabase::Add(UserId user, Point location) {
-  [[maybe_unused]] const bool inserted =
-      row_of_user_.emplace(user, rows_.size()).second;
-  assert(inserted && "duplicate user ids in location database");
+bool LocationDatabase::Add(UserId user, Point location) {
+  if (!row_of_user_.try_emplace(user, rows_.size()).second) return false;
   rows_.push_back(UserLocation{user, location});
+  return true;
 }
 
 Result<size_t> LocationDatabase::IndexOf(UserId user) const {

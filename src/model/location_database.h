@@ -45,8 +45,9 @@ class LocationDatabase {
   const UserLocation& row(size_t index) const { return rows_[index]; }
   const std::vector<UserLocation>& rows() const { return rows_; }
 
-  /// Appends one row. `user` must not be in the snapshot yet.
-  void Add(UserId user, Point location);
+  /// Appends one row and returns true, or returns false and adds nothing
+  /// when `user` is already in the snapshot. One hash insert either way.
+  bool Add(UserId user, Point location);
 
   /// Makes room for `n` rows and their index entries, so that Adding them
   /// neither reallocates nor over-sizes the index.

@@ -14,7 +14,10 @@ Result<IncrementalAnonymizer> IncrementalAnonymizer::Build(
     const DpOptions& dp_options) {
   TreeOptions tree_options;
   tree_options.split_threshold = k;
-  Result<BinaryTree> tree = BinaryTree::Build(db, extent, tree_options);
+  Result<BinaryTree> tree = [&] {
+    obs::ScopedSpan tree_span("tree_build");
+    return BinaryTree::Build(db, extent, tree_options);
+  }();
   if (!tree.ok()) return tree.status();
   Result<DpMatrix> matrix = ComputeDpMatrix(*tree, k, dp_options);
   if (!matrix.ok()) return matrix.status();
@@ -36,6 +39,7 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
   std::sort(dirty.begin(), dirty.end());
   dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   if (matrix_.rows.size() < tree_.num_nodes()) {
+    matrix_.rows.reserve(tree_.num_nodes());  // exactly: resize would double
     matrix_.rows.resize(tree_.num_nodes());
   }
 

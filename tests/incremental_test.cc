@@ -120,6 +120,34 @@ TEST(IncrementalTest, MoveAcrossTheWholeMap) {
   }
 }
 
+TEST(IncrementalTest, GrowingRepairSizesTheRowArrayExactly) {
+  // Piling users into one corner splits a leaf there, which adds tree nodes
+  // and so matrix rows; the row array must grow to exactly num_nodes().
+  Rng rng(12);
+  const MapExtent extent{0, 0, 6};
+  const LocationDatabase db = RandomDb(&rng, 400, extent);
+  const int k = 5;
+  Result<IncrementalAnonymizer> inc =
+      IncrementalAnonymizer::Build(db, extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  const size_t nodes_before = inc->tree().num_nodes();
+  std::vector<UserMove> moves;
+  for (uint32_t row = 0; row < 40; ++row) {
+    moves.push_back(UserMove{row, db.row(row).location,
+                             Point{static_cast<Coord>(row % 3),
+                                   static_cast<Coord>(row % 2)}});
+  }
+  ASSERT_TRUE(inc->ApplyMoves(moves).ok());
+  const DpMatrix& matrix = inc->matrix();
+  ASSERT_GT(inc->tree().num_nodes(), nodes_before);
+  ASSERT_EQ(matrix.rows.size(), inc->tree().num_nodes());
+
+  DpMatrix exact;
+  exact.rows.reserve(matrix.rows.size());
+  for (const DpRow& row : matrix.rows) exact.rows.push_back(row);
+  EXPECT_EQ(matrix.ApproxBytes(), exact.ApproxBytes());
+}
+
 TEST(IncrementalTest, RejectsStaleMove) {
   Rng rng(11);
   const MapExtent extent{0, 0, 4};

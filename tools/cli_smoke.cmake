@@ -117,6 +117,33 @@ set(DUP ${WORK_DIR}/cli_smoke_dup.csv)
 file(WRITE ${DUP} "userid,locx,locy\n1,0,0\n2,1,1\n1,2,2\n")
 run_or_die(1 ${CLI} serve --in ${DUP} --k 1)
 
+# The CSV grammar end to end: a CRLF file with a comment, a header, a blank
+# line, spaces inside a field and no final newline loads exactly like the
+# clean file; a file whose line 4 is malformed fails naming that line.
+set(CLEAN ${WORK_DIR}/cli_smoke_clean.csv)
+set(MESSY ${WORK_DIR}/cli_smoke_messy.csv)
+set(BAD_LINE ${WORK_DIR}/cli_smoke_bad_line.csv)
+file(WRITE ${CLEAN} "1,0,0\n2,5,1\n3,2,7\n4,6,6\n")
+file(WRITE ${MESSY} "# snapshot\r\nuserid,locx,locy\r\n1,0,0\r\n"
+     "2, 5 ,1\r\n\r\n3,2,7\r\n4,6,6")
+run_capture(0 clean_stats ${CLI} stats --in ${CLEAN} --k 2)
+run_capture(0 messy_stats ${CLI} stats --in ${MESSY} --k 2)
+if(NOT clean_stats STREQUAL messy_stats)
+  message(FATAL_ERROR "stats differ between the clean and the CRLF file:\n"
+                      "${clean_stats}\n---\n${messy_stats}")
+endif()
+file(WRITE ${BAD_LINE} "userid,locx,locy\n1,0,0\n2,1,1\n3,x,2\n4,3,3\n")
+execute_process(COMMAND ${CLI} serve --in ${BAD_LINE} --k 1
+                RESULT_VARIABLE bad_line_rc OUTPUT_VARIABLE bad_line_out
+                ERROR_VARIABLE bad_line_err)
+if(NOT bad_line_rc EQUAL 1)
+  message(FATAL_ERROR "serve on a malformed CSV exited ${bad_line_rc} "
+                      "(expected 1)\nstderr: ${bad_line_err}")
+endif()
+set(bad_line_all "${bad_line_out}${bad_line_err}")
+require_fragment(bad_line_all "line 4: malformed integer"
+                 "serve on a malformed CSV")
+
 # Fractional and overflowing schedule counts are typed parse errors, not
 # silently truncated casts.
 set(FRAC_PLAN ${WORK_DIR}/cli_smoke_frac_plan.json)
@@ -298,4 +325,4 @@ run_or_die(1 ${CLI} anonymize --in /no/such.csv --k 5 --out ${OPT})
 
 file(REMOVE ${LOC} ${OPT} ${CASPER} ${METRICS} ${TRACE} ${PLAN} ${BAD_PLAN}
      ${FRAC_PLAN} ${HUGE_PLAN} ${CE} ${AUDIT} ${SLO} ${BAD_SLO}
-     ${STREAM_AUDIT} ${TRACE2} ${MERGED} ${DUP})
+     ${STREAM_AUDIT} ${TRACE2} ${MERGED} ${DUP} ${CLEAN} ${MESSY} ${BAD_LINE})
