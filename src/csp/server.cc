@@ -14,8 +14,7 @@
 
 namespace pasa {
 
-CspServer::CspServer(CspOptions options, MapExtent extent,
-                     LocationDatabase snapshot, IncrementalAnonymizer engine,
+CspServer::CspServer(CspOptions options, IncrementalAnonymizer engine,
                      ExtractedPolicy policy, PoiDatabase pois)
     : options_(options),
       served_counter_(obs::MetricsRegistry::Global().GetCounter(
@@ -26,8 +25,6 @@ CspServer::CspServer(CspOptions options, MapExtent extent,
           "csp/requests_failed")),
       rejected_counter_(obs::MetricsRegistry::Global().GetCounter(
           "csp/requests_rejected")),
-      extent_(extent),
-      snapshot_(std::move(snapshot)),
       engine_(std::make_unique<IncrementalAnonymizer>(std::move(engine))),
       policy_(std::move(policy)),
       frontend_(std::make_unique<CachingLbsFrontend>(
@@ -44,8 +41,6 @@ CspServer::CspServer(const CspServer& other)
       degraded_counter_(other.degraded_counter_),
       failed_counter_(other.failed_counter_),
       rejected_counter_(other.rejected_counter_),
-      extent_(other.extent_),
-      snapshot_(other.snapshot_),
       engine_(std::make_unique<IncrementalAnonymizer>(*other.engine_)),
       policy_(other.policy_),
       frontend_(std::make_unique<CachingLbsFrontend>(*other.frontend_)),
@@ -57,15 +52,15 @@ Result<CspServer> CspServer::Start(LocationDatabase initial_snapshot,
                                    const CspOptions& options) {
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
   Result<IncrementalAnonymizer> engine = IncrementalAnonymizer::Build(
-      initial_snapshot, extent, options.k, options.dp);
+      std::move(initial_snapshot), extent, options.k, options.dp);
   if (!engine.ok()) return engine.status();
   Result<ExtractedPolicy> policy = [&] {
     obs::ScopedSpan extract_span("extract_policy");
     return engine->ExtractPolicy();
   }();
   if (!policy.ok()) return policy.status();
-  return CspServer(options, extent, std::move(initial_snapshot),
-                   std::move(*engine), std::move(*policy), std::move(pois));
+  return CspServer(options, std::move(*engine), std::move(*policy),
+                   std::move(pois));
 }
 
 Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
@@ -114,7 +109,7 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
 Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
                                                   int32_t* node) {
   obs::ProvenanceRecord* p = obs::CurrentProvenance();
-  const Result<size_t> row = ValidSenderRow(sr, snapshot_);
+  const Result<size_t> row = ValidSenderRow(sr, engine_->snapshot());
   // An empty assignment means a failed advance dropped the policy: no
   // request is valid until the next advance extracts one again.
   if (!row.ok() || *row >= policy_.assignment.size()) {
@@ -164,15 +159,6 @@ Status CspServer::RefreshPolicy() {
   return Status::Ok();
 }
 
-Status CspServer::RebuildEngine() {
-  obs::ScopedSpan rebuild_span("rebuild");
-  Result<IncrementalAnonymizer> rebuilt = IncrementalAnonymizer::Build(
-      snapshot_, extent_, options_.k, options_.dp);
-  if (!rebuilt.ok()) return rebuilt.status();
-  *engine_ = std::move(*rebuilt);
-  return Status::Ok();
-}
-
 Result<SnapshotReport> CspServer::AdvanceSnapshot(
     const std::vector<UserMove>& moves) {
   obs::ScopedSpan span("csp/advance_snapshot", obs::ScopedSpan::kRoot);
@@ -180,6 +166,8 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
       .GetCounter("csp/snapshot/moves_quarantined");
   SnapshotReport report;
   fault::FaultInjector& injector = fault::FaultInjector::Global();
+  const LocationDatabase& snapshot = engine_->snapshot();
+  const MapExtent& extent = engine_->tree().extent();
 
   // Validate every move against the current snapshot; malformed ones are
   // quarantined (counted, logged) instead of failing the whole advance. The
@@ -187,18 +175,18 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
   // mangling moves right at this boundary, which must end in quarantine.
   std::vector<UserMove> accepted;
   accepted.reserve(moves.size());
-  std::vector<bool> already_moved(snapshot_.size(), false);
+  std::vector<bool> already_moved(snapshot.size(), false);
   size_t corrupted = 0;
   for (const UserMove& original : moves) {
     UserMove move = original;
     if (injector.ShouldInject(fault::kSnapshotCorruptMove)) {
       switch (corrupted++ % 3) {
         case 0:  // unknown user: row beyond the snapshot
-          move.row += static_cast<uint32_t>(snapshot_.size());
+          move.row += static_cast<uint32_t>(snapshot.size());
           break;
         case 1:  // destination outside the map extent
-          move.to = Point{extent_.origin_x + 2 * extent_.side(),
-                          extent_.origin_y};
+          move.to = Point{extent.origin_x + 2 * extent.side(),
+                          extent.origin_y};
           break;
         default:  // stale origin
           move.from.x += 1;
@@ -206,11 +194,11 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
       }
     }
     const char* reason = nullptr;
-    if (move.row >= snapshot_.size()) {
+    if (move.row >= snapshot.size()) {
       reason = "unknown_user";
-    } else if (snapshot_.row(move.row).location != move.from) {
+    } else if (snapshot.row(move.row).location != move.from) {
       reason = "stale_origin";
-    } else if (!extent_.Contains(move.to)) {
+    } else if (!extent.Contains(move.to)) {
       reason = "out_of_extent";
     } else if (already_moved[move.row]) {
       reason = "duplicate";
@@ -236,18 +224,10 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
   }
   report.moves_applied = accepted.size();
 
-  // Apply the accepted moves to the CSP's snapshot first; the engine tracks
-  // its own copy of the positions.
-  for (const UserMove& move : accepted) {
-    Status s = snapshot_.MoveUser(snapshot_.row(move.row).user, move.to);
-    if (!s.ok()) return Status::Internal("validated move failed to apply: " +
-                                         s.ToString());
-  }
-
   const double fraction =
-      snapshot_.empty() ? 0.0
-                        : static_cast<double>(accepted.size()) /
-                              static_cast<double>(snapshot_.size());
+      snapshot.empty() ? 0.0
+                       : static_cast<double>(accepted.size()) /
+                             static_cast<double>(snapshot.size());
   bool need_rebuild = fraction > options_.rebuild_fraction;
   if (need_rebuild) {
     // Bulk re-anonymization (Section VI-C: incremental degenerates anyway).
@@ -276,11 +256,10 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
           .GetCounter("csp/snapshot/incremental_repairs")
           .Increment();
     } else {
-      // Self-healing: a failed repair may leave the engine's tree/matrix
-      // partially updated, so discard it and rebuild from the (clean)
-      // snapshot instead of failing the advance.
+      // Self-healing: a failed repair may leave the engine's snapshot, tree
+      // and matrix partially updated, so put every accepted move in place
+      // and rebuild from scratch instead of failing the advance.
       report.repair_fell_back_to_rebuild = true;
-      report.dp_rows_repaired = 0;
       ++stats_.repair_fallbacks;
       need_rebuild = true;
       obs::MetricsRegistry::Global()
@@ -294,7 +273,7 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
     }
   }
   if (need_rebuild) {
-    Status s = RebuildEngine();
+    Status s = engine_->Rebuild(accepted);
     if (!s.ok()) {
       // A failed repair may have reshaped the tree under the current
       // assignment; drop the policy rather than serve cloaks from it.
@@ -334,13 +313,14 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
 }
 
 void CspServer::ReportMemory(obs::MemoryAccountant& accountant) const {
-  accountant.GetCounter("csp/snapshot").Set(snapshot_.ApproxBytes());
+  const LocationDatabase& snapshot = engine_->snapshot();
+  accountant.GetCounter("csp/snapshot").Set(snapshot.ApproxBytes());
   accountant.GetCounter("csp/policy_tree")
       .Set(engine_->tree().ApproxBytes());
   accountant.GetCounter("csp/config_matrix")
       .Set(engine_->matrix().ApproxBytes());
   accountant.GetCounter("csp/policy").Set(policy_.ApproxBytes());
-  accountant.GetCounter("csp/user_index").Set(snapshot_.IndexApproxBytes());
+  accountant.GetCounter("csp/user_index").Set(snapshot.IndexApproxBytes());
   accountant.GetCounter("lbs/answer_cache")
       .Set(frontend_->cache().ApproxBytes());
   accountant.GetCounter("lbs/poi_index")

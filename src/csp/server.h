@@ -79,7 +79,7 @@ class CspServer {
   CspServer& operator=(const CspServer&) = delete;
 
   const CspOptions& options() const { return options_; }
-  const LocationDatabase& snapshot() const { return snapshot_; }
+  const LocationDatabase& snapshot() const { return engine_->snapshot(); }
   Cost policy_cost() const { return policy_.cost; }
   /// The policy tree the current policy was extracted from.
   const BinaryTree& tree() const { return engine_->tree(); }
@@ -169,8 +169,7 @@ class CspServer {
   void ReportMemory(obs::MemoryAccountant& accountant) const;
 
  private:
-  CspServer(CspOptions options, MapExtent extent,
-            LocationDatabase snapshot, IncrementalAnonymizer engine,
+  CspServer(CspOptions options, IncrementalAnonymizer engine,
             ExtractedPolicy policy, PoiDatabase pois);
 
   /// Validates `sr` against the snapshot and cloaks it under the current
@@ -182,8 +181,6 @@ class CspServer {
                                          int32_t* node);
 
   Status RefreshPolicy();
-  /// From-scratch rebuild of the engine on the current snapshot.
-  Status RebuildEngine();
 
   CspOptions options_;
   /// Request-outcome counters, resolved once at construction so the serving
@@ -192,8 +189,6 @@ class CspServer {
   obs::Counter& degraded_counter_;
   obs::Counter& failed_counter_;
   obs::Counter& rejected_counter_;
-  MapExtent extent_;
-  LocationDatabase snapshot_;
   std::unique_ptr<IncrementalAnonymizer> engine_;
   /// Extracted from engine_'s tree; emptied when an advance fails after
   /// touching the tree, so no cloak is ever read from another tree.

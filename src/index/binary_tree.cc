@@ -21,16 +21,13 @@ Result<BinaryTree> BinaryTree::BuildRooted(const LocationDatabase& db,
   }
   Result<MapExtent> extent = MapExtent::Covering(root_region);
   if (!extent.ok()) return extent.status();
-  BinaryTree tree(*extent, options);
-  tree.row_locations_.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    const Point& p = db.row(i).location;
-    if (!root_region.Contains(p)) {
-      return Status::InvalidArgument("location " + p.ToString() +
+  for (const UserLocation& row : db.rows()) {
+    if (!root_region.Contains(row.location)) {
+      return Status::InvalidArgument("location " + row.location.ToString() +
                                      " outside the root region");
     }
-    tree.row_locations_.push_back(p);
   }
+  BinaryTree tree(*extent, options);
 
   Node root;
   root.region = root_region;
@@ -47,7 +44,7 @@ Result<BinaryTree> BinaryTree::BuildRooted(const LocationDatabase& db,
     const int32_t id = stack.back();
     stack.pop_back();
     if (tree.CanSplit(id)) {
-      tree.SplitLeaf(id);
+      tree.SplitLeaf(id, db);
       stack.push_back(tree.nodes_[id].first_child);
       stack.push_back(tree.nodes_[id].first_child + 1);
     }
@@ -72,7 +69,8 @@ bool BinaryTree::CanSplit(int32_t id) const {
   return false;
 }
 
-BinaryTree::SplitPlan BinaryTree::PlanSplit(int32_t id) const {
+BinaryTree::SplitPlan BinaryTree::PlanSplit(
+    int32_t id, const LocationDatabase& db) const {
   const Node& n = nodes_[id];
   SplitPlan plan;
   switch (n.kind) {
@@ -85,8 +83,9 @@ BinaryTree::SplitPlan BinaryTree::PlanSplit(int32_t id) const {
         const Coord midy = n.region.y1 + n.region.height() / 2;
         int64_t west = 0, south = 0;
         for (const uint32_t row : leaf_rows_[id]) {
-          if (row_locations_[row].x < midx) ++west;
-          if (row_locations_[row].y < midy) ++south;
+          const Point& p = db.row(row).location;
+          if (p.x < midx) ++west;
+          if (p.y < midy) ++south;
         }
         const int64_t total = static_cast<int64_t>(n.count);
         const int64_t imbalance_v = std::abs(2 * west - total);
@@ -112,9 +111,9 @@ BinaryTree::SplitPlan BinaryTree::PlanSplit(int32_t id) const {
   return plan;
 }
 
-void BinaryTree::SplitLeaf(int32_t id) {
+void BinaryTree::SplitLeaf(int32_t id, const LocationDatabase& db) {
   assert(nodes_[id].IsLeaf());
-  const SplitPlan plan = PlanSplit(id);
+  const SplitPlan plan = PlanSplit(id, db);
   const int32_t first = static_cast<int32_t>(nodes_.size());
   for (int which = 0; which < 2; ++which) {
     Node child;
@@ -132,8 +131,11 @@ void BinaryTree::SplitLeaf(int32_t id) {
   // Distribute the parent's resident rows by geometry.
   std::vector<uint32_t>& rows = leaf_rows_[id];
   const Rect first_region = nodes_[first].region;
-  for (const uint32_t row : rows) {
-    const int which = first_region.Contains(row_locations_[row]) ? 0 : 1;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    // Below the top levels a leaf's rows lie sparse in the snapshot.
+    if (i + 16 < rows.size()) __builtin_prefetch(&db.row(rows[i + 16]));
+    const uint32_t row = rows[i];
+    const int which = first_region.Contains(db.row(row).location) ? 0 : 1;
     leaf_rows_[first + which].push_back(row);
     ++nodes_[first + which].count;
   }
@@ -186,19 +188,13 @@ int32_t BinaryTree::LeafForPoint(const Point& p) const {
 }
 
 Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
-                             const Point& new_location,
+                             const LocationDatabase& db,
                              std::vector<int32_t>* dirty) {
+  if (row >= db.size()) return Status::InvalidArgument("row out of range");
+  const Point& new_location = db.row(row).location;
   if (!nodes_[kRootId].region.Contains(new_location)) {
     return Status::InvalidArgument("new location " + new_location.ToString() +
                                    " outside the tree's root region");
-  }
-  if (row >= row_locations_.size()) {
-    return Status::InvalidArgument("row out of range");
-  }
-  if (row_locations_[row] != old_location) {
-    return Status::InvalidArgument(
-        "old location does not match the tree's view of row " +
-        std::to_string(row));
   }
 
   const int32_t old_leaf = LeafForPoint(old_location);
@@ -210,7 +206,6 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
   }
   *it = old_rows.back();
   old_rows.pop_back();
-  row_locations_[row] = new_location;
 
   // Decrement counts up the old path.
   for (int32_t cur = old_leaf; cur >= 0; cur = nodes_[cur].parent) {
@@ -231,7 +226,7 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
     const int32_t id = stack.back();
     stack.pop_back();
     if (CanSplit(id)) {
-      SplitLeaf(id);
+      SplitLeaf(id, db);
       const int32_t first = nodes_[id].first_child;
       dirty->push_back(first);
       dirty->push_back(first + 1);

@@ -21,7 +21,8 @@ namespace pasa {
 ///
 /// The tree partitions the whole map: every node is either a leaf or has two
 /// children that exactly cover it, so every point of the extent lies in
-/// exactly one leaf. Nodes are lazily materialized (see TreeOptions).
+/// exactly one leaf. Nodes are lazily materialized (see TreeOptions). It
+/// stores row ids only and reads locations from the snapshot it is handed.
 ///
 /// The structure is mutable to support incremental maintenance across
 /// location-database snapshots (Section IV "Incremental Maintenance"):
@@ -96,13 +97,13 @@ class BinaryTree {
     return rows;
   }
 
-  /// Relocates snapshot row `row` from `old_location` to `new_location`,
-  /// updating counts on both root-to-leaf paths and re-splitting/collapsing
-  /// where occupancy crosses the threshold. Appends every node whose count
-  /// changed (hence whose DP row is stale) to `dirty`, deepest first is NOT
-  /// guaranteed. Returns InvalidArgument if a location is outside the map.
+  /// Relocates snapshot row `row` from `old_location` to where the moved `db`
+  /// holds it, updating counts on both root-to-leaf paths and re-splitting/
+  /// collapsing where occupancy crosses the threshold. Appends every node
+  /// whose count changed (hence whose DP row is stale) to `dirty`, deepest
+  /// first is NOT guaranteed. InvalidArgument for a bad row or destination.
   Status ApplyMove(uint32_t row, const Point& old_location,
-                   const Point& new_location, std::vector<int32_t>* dirty);
+                   const LocationDatabase& db, std::vector<int32_t>* dirty);
 
   /// Maximum depth over live nodes.
   int Height() const;
@@ -122,14 +123,13 @@ class BinaryTree {
   };
   ShapeStats ComputeShapeStats() const;
 
-  /// Approximate heap bytes held by the arena, per-leaf row lists and the
-  /// row-location shadow (memory accounting, obs/mem.h).
+  /// Approximate heap bytes held by the arena and the per-leaf row lists
+  /// (memory accounting, obs/mem.h).
   uint64_t ApproxBytes() const {
     uint64_t bytes =
         static_cast<uint64_t>(nodes_.capacity()) * sizeof(Node) +
         static_cast<uint64_t>(leaf_rows_.capacity()) *
-            sizeof(std::vector<uint32_t>) +
-        static_cast<uint64_t>(row_locations_.capacity()) * sizeof(Point);
+            sizeof(std::vector<uint32_t>);
     for (const std::vector<uint32_t>& rows : leaf_rows_) {
       bytes += static_cast<uint64_t>(rows.capacity()) * sizeof(uint32_t);
     }
@@ -143,8 +143,8 @@ class BinaryTree {
   /// True if `id` may be split further (capacity, depth, and geometry).
   bool CanSplit(int32_t id) const;
   /// Materializes the two children of leaf `id` and distributes its rows
-  /// by their current locations in `row_locations_`.
-  void SplitLeaf(int32_t id);
+  /// by their current locations in `db`.
+  void SplitLeaf(int32_t id, const LocationDatabase& db);
   /// Turns internal node `id` back into a leaf, gathering descendant rows.
   void Collapse(int32_t id);
   void GatherRows(int32_t id, std::vector<uint32_t>* out) const;
@@ -157,13 +157,12 @@ class BinaryTree {
   /// Decides the split of node `id` (for squares under kAdaptive this
   /// inspects the resident points and picks the better-balanced cut;
   /// deterministic in the point multiset).
-  SplitPlan PlanSplit(int32_t id) const;
+  SplitPlan PlanSplit(int32_t id, const LocationDatabase& db) const;
 
   MapExtent extent_;
   TreeOptions options_;
   std::vector<Node> nodes_;
   std::vector<std::vector<uint32_t>> leaf_rows_;
-  std::vector<Point> row_locations_;  ///< current location per snapshot row
   size_t live_nodes_ = 0;
 };
 

@@ -11,17 +11,13 @@ Result<QuadTree> QuadTree::Build(const LocationDatabase& db,
   if (options.split_threshold < 1) {
     return Status::InvalidArgument("split_threshold must be >= 1");
   }
-  QuadTree tree(extent, options);
-  std::vector<Point> locations;
-  locations.reserve(db.size());
-  for (size_t i = 0; i < db.size(); ++i) {
-    const Point& p = db.row(i).location;
-    if (!extent.Contains(p)) {
-      return Status::InvalidArgument("location " + p.ToString() +
+  for (const UserLocation& row : db.rows()) {
+    if (!extent.Contains(row.location)) {
+      return Status::InvalidArgument("location " + row.location.ToString() +
                                      " outside map extent");
     }
-    locations.push_back(p);
   }
+  QuadTree tree(extent, options);
 
   Node root;
   root.region = extent.ToRect();
@@ -36,7 +32,7 @@ Result<QuadTree> QuadTree::Build(const LocationDatabase& db,
     const int32_t id = stack.back();
     stack.pop_back();
     if (tree.CanSplit(id)) {
-      tree.Split(id, locations);
+      tree.Split(id, db);
       for (int q = 0; q < 4; ++q) {
         stack.push_back(tree.nodes_[id].first_child + q);
       }
@@ -53,7 +49,7 @@ bool QuadTree::CanSplit(int32_t id) const {
   return n.region.width() >= 2;
 }
 
-void QuadTree::Split(int32_t id, const std::vector<Point>& locations) {
+void QuadTree::Split(int32_t id, const LocationDatabase& db) {
   assert(nodes_[id].IsLeaf());
   const int32_t first = static_cast<int32_t>(nodes_.size());
   for (int q = 0; q < 4; ++q) {
@@ -71,7 +67,7 @@ void QuadTree::Split(int32_t id, const std::vector<Point>& locations) {
   const Coord midx = region.x1 + region.width() / 2;
   const Coord midy = region.y1 + region.height() / 2;
   for (const uint32_t row : rows) {
-    const Point& p = locations[row];
+    const Point& p = db.row(row).location;
     const int q = ((p.y >= midy) ? 2 : 0) | ((p.x >= midx) ? 1 : 0);
     leaf_rows_[first + q].push_back(row);
     ++nodes_[first + q].count;

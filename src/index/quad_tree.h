@@ -70,7 +70,7 @@ class QuadTree {
       : extent_(extent), options_(options) {}
 
   bool CanSplit(int32_t id) const;
-  void Split(int32_t id, const std::vector<Point>& locations);
+  void Split(int32_t id, const LocationDatabase& db);
 
   MapExtent extent_;
   TreeOptions options_;

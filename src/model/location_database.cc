@@ -29,10 +29,9 @@ Result<size_t> LocationDatabase::IndexOf(UserId user) const {
   return it->second;
 }
 
-Status LocationDatabase::MoveUser(UserId user, Point new_location) {
-  Result<size_t> index = IndexOf(user);
-  if (!index.ok()) return index.status();
-  rows_[*index].location = new_location;
+Status LocationDatabase::MoveRow(size_t row, Point new_location) {
+  if (row >= rows_.size()) return Status::InvalidArgument("row out of range");
+  rows_[row].location = new_location;
   return Status::Ok();
 }
 

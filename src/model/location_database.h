@@ -59,9 +59,9 @@ class LocationDatabase {
   /// Returns the row index of `user`, or NotFound. One hash lookup.
   Result<size_t> IndexOf(UserId user) const;
 
-  /// Moves `user` to `new_location` (the snapshot-to-snapshot update of
-  /// Section II-A). Returns NotFound if the user is absent.
-  Status MoveUser(UserId user, Point new_location);
+  /// Moves the user at `row` to `new_location` (the snapshot-to-snapshot
+  /// update of Section II-A). InvalidArgument if `row` is out of range.
+  Status MoveRow(size_t row, Point new_location);
 
   /// Smallest half-open rectangle containing all locations; the zero rect
   /// when empty.

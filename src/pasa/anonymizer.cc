@@ -11,16 +11,12 @@ Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
                                      const MapExtent& extent,
                                      const AnonymizerOptions& options) {
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
-  TreeOptions tree_options;
-  tree_options.split_threshold =
-      options.split_threshold > 0 ? options.split_threshold : options.k;
-  tree_options.max_depth = options.max_tree_depth;
-  tree_options.orientation = options.orientation;
-
   obs::ScopedSpan build_span("anonymizer/build", obs::ScopedSpan::kRoot);
   Result<BinaryTree> tree = [&] {
     obs::ScopedSpan tree_span("tree_build");
-    return BinaryTree::Build(db, extent, tree_options);
+    return BinaryTree::Build(db, extent,
+                             TreeOptions{.split_threshold = options.k,
+                                         .orientation = options.orientation});
   }();
   if (!tree.ok()) return tree.status();
   Result<DpMatrix> matrix = ComputeDpMatrix(*tree, options.k, options.dp);

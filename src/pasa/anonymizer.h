@@ -19,10 +19,6 @@ struct AnonymizerOptions {
   int k = 50;
   /// DP optimization toggles (both on by default).
   DpOptions dp;
-  /// Tree split threshold; 0 means "use k" (the paper's lazy rule).
-  int split_threshold = 0;
-  /// Maximum binary-tree depth.
-  int max_tree_depth = 64;
   /// Square-split orientation: the paper's fixed vertical cut, or the
   /// adaptive balance-driven extension (see SplitOrientation).
   SplitOrientation orientation = SplitOrientation::kVerticalOnly;

@@ -1,6 +1,9 @@
 #include "pasa/incremental.h"
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -8,21 +11,50 @@
 #include "obs/trace_sink.h"
 
 namespace pasa {
+namespace {
 
-Result<IncrementalAnonymizer> IncrementalAnonymizer::Build(
+Result<std::pair<BinaryTree, DpMatrix>> BuildTreeAndMatrix(
     const LocationDatabase& db, const MapExtent& extent, int k,
     const DpOptions& dp_options) {
-  TreeOptions tree_options;
-  tree_options.split_threshold = k;
   Result<BinaryTree> tree = [&] {
     obs::ScopedSpan tree_span("tree_build");
-    return BinaryTree::Build(db, extent, tree_options);
+    return BinaryTree::Build(db, extent, TreeOptions{.split_threshold = k});
   }();
   if (!tree.ok()) return tree.status();
   Result<DpMatrix> matrix = ComputeDpMatrix(*tree, k, dp_options);
   if (!matrix.ok()) return matrix.status();
-  return IncrementalAnonymizer(k, dp_options, std::move(*tree),
-                               std::move(*matrix));
+  return std::pair(std::move(*tree), std::move(*matrix));
+}
+
+}  // namespace
+
+Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
+                            LocationDatabase* db) {
+  for (const UserMove& move : moves) {
+    Status s = db->MoveRow(move.row, move.to);
+    if (!s.ok()) return s;
+  }
+  return Status::Ok();
+}
+
+Result<IncrementalAnonymizer> IncrementalAnonymizer::Build(
+    LocationDatabase db, const MapExtent& extent, int k,
+    const DpOptions& dp_options) {
+  Result<std::pair<BinaryTree, DpMatrix>> built =
+      BuildTreeAndMatrix(db, extent, k, dp_options);
+  if (!built.ok()) return built.status();
+  return IncrementalAnonymizer(k, dp_options, std::move(db),
+                               std::move(*built));
+}
+
+Status IncrementalAnonymizer::Rebuild(const std::vector<UserMove>& moves) {
+  obs::ScopedSpan span("rebuild");
+  if (Status s = ApplyMovesToDatabase(moves, &db_); !s.ok()) return s;
+  Result<std::pair<BinaryTree, DpMatrix>> built =
+      BuildTreeAndMatrix(db_, tree_.extent(), k_, dp_options_);
+  if (!built.ok()) return built.status();
+  std::tie(tree_, matrix_) = std::move(*built);
+  return Status::Ok();
 }
 
 Result<size_t> IncrementalAnonymizer::ApplyMoves(
@@ -30,8 +62,21 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
   obs::ScopedSpan span("incremental/repair", obs::ScopedSpan::kRoot);
   std::vector<int32_t> dirty;
   dirty.reserve(moves.size() * 48);
+  // Lockstep: a split during move i sees moves up to i at their new places
+  // and later movers still at their old ones.
+  const Rect map = tree_.node(BinaryTree::kRootId).region;
   for (const UserMove& move : moves) {
-    Status s = tree_.ApplyMove(move.row, move.from, move.to, &dirty);
+    if (!map.Contains(move.to)) {
+      return Status::InvalidArgument("new location " + move.to.ToString() +
+                                     " outside the tree's root region");
+    }
+    if (move.row < db_.size() && db_.row(move.row).location != move.from) {
+      return Status::InvalidArgument(
+          "old location does not match the tree's view of row " +
+          std::to_string(move.row));
+    }
+    Status s = db_.MoveRow(move.row, move.to);  // rejects an unknown row
+    if (s.ok()) s = tree_.ApplyMove(move.row, move.from, db_, &dirty);
     if (!s.ok()) return s;
   }
 

@@ -2,6 +2,7 @@
 #define PASA_PASA_INCREMENTAL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -20,10 +21,14 @@ struct UserMove {
   friend bool operator==(const UserMove& a, const UserMove& b) = default;
 };
 
+/// Puts each moved row of `db` at its `to`, in order.
+Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
+                            LocationDatabase* db);
+
 /// Incremental maintenance of the optimum configuration matrix (Section IV,
 /// "Incremental Maintenance of M"; evaluated in Section VI-C / Fig. 5(b)).
 ///
-/// Holds the binary tree and the DP matrix across snapshots. ApplyMoves
+/// Owns the snapshot, the binary tree and the DP matrix. ApplyMoves
 /// relocates users, re-splits/collapses tree nodes where occupancy crosses
 /// the lazy threshold, and re-runs the bottom-up DP step only for nodes
 /// whose subtree changed — the "added twist" of starting from the leaves
@@ -31,18 +36,25 @@ struct UserMove {
 /// rebuild on the new snapshot (the tests assert equal optimal costs).
 class IncrementalAnonymizer {
  public:
-  /// Builds the initial tree and matrix for the first snapshot.
-  static Result<IncrementalAnonymizer> Build(const LocationDatabase& db,
+  /// Builds the initial tree and matrix for the first snapshot, and keeps it.
+  static Result<IncrementalAnonymizer> Build(LocationDatabase db,
                                              const MapExtent& extent, int k,
                                              const DpOptions& dp_options);
 
+  /// The current snapshot: the first one with every applied move.
+  const LocationDatabase& snapshot() const { return db_; }
   const BinaryTree& tree() const { return tree_; }
   const DpMatrix& matrix() const { return matrix_; }
-  int k() const { return k_; }
 
   /// Applies a batch of moves and repairs the matrix. Returns the number of
-  /// DP rows recomputed (the measure of incremental work).
+  /// DP rows recomputed (the measure of incremental work). A move with an
+  /// unknown row, a stale `from` or a `to` off the map is InvalidArgument,
+  /// after which only Rebuild is valid.
   Result<size_t> ApplyMoves(const std::vector<UserMove>& moves);
+
+  /// Puts every moved row at its `to` (safe after a failed ApplyMoves of the
+  /// same batch), then rebuilds the tree and matrix from the snapshot.
+  Status Rebuild(const std::vector<UserMove>& moves);
 
   /// Minimum cost of a complete configuration on the current snapshot.
   Result<Cost> OptimalCost() const { return matrix_.OptimalCost(tree_); }
@@ -53,15 +65,17 @@ class IncrementalAnonymizer {
   }
 
  private:
-  IncrementalAnonymizer(int k, DpOptions dp_options, BinaryTree tree,
-                        DpMatrix matrix)
+  IncrementalAnonymizer(int k, DpOptions dp_options, LocationDatabase db,
+                        std::pair<BinaryTree, DpMatrix> built)
       : k_(k),
         dp_options_(dp_options),
-        tree_(std::move(tree)),
-        matrix_(std::move(matrix)) {}
+        db_(std::move(db)),
+        tree_(std::move(built.first)),
+        matrix_(std::move(built.second)) {}
 
   int k_;
   DpOptions dp_options_;
+  LocationDatabase db_;
   BinaryTree tree_;
   DpMatrix matrix_;
 };

@@ -30,16 +30,4 @@ std::vector<UserMove> DrawMoves(const LocationDatabase& db,
   return moves;
 }
 
-Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
-                            LocationDatabase* db) {
-  for (const UserMove& move : moves) {
-    if (move.row >= db->size()) {
-      return Status::InvalidArgument("move row out of range");
-    }
-    Status s = db->MoveUser(db->row(move.row).user, move.to);
-    if (!s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
 }  // namespace pasa

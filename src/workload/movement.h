@@ -22,15 +22,11 @@ struct MovementOptions {
 };
 
 /// Draws the moves for one snapshot transition against `db`. Does not modify
-/// `db`; apply the returned moves to both the database and any incremental
-/// anonymizer to advance the snapshot.
+/// `db`; ApplyMovesToDatabase or IncrementalAnonymizer::ApplyMoves applies
+/// the returned moves to advance the snapshot.
 std::vector<UserMove> DrawMoves(const LocationDatabase& db,
                                 const MapExtent& extent,
                                 const MovementOptions& options);
-
-/// Applies moves to the location database in place.
-Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
-                            LocationDatabase* db);
 
 }  // namespace pasa
 

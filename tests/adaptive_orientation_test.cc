@@ -137,8 +137,8 @@ TEST(AdaptiveOrientation, ApplyMoveKeepsPartitionAndOptimality) {
     const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
                    static_cast<Coord>(rng.NextBounded(extent.side()))};
     std::vector<int32_t> dirty;
-    ASSERT_TRUE(tree->ApplyMove(row, from, to, &dirty).ok());
-    ASSERT_TRUE(db.MoveUser(db.row(row).user, to).ok());
+    ASSERT_TRUE(db.MoveRow(row, to).ok());
+    ASSERT_TRUE(tree->ApplyMove(row, from, db, &dirty).ok());
   }
   size_t leaf_users = 0;
   for (size_t i = 0; i < tree->num_nodes(); ++i) {

@@ -36,19 +36,23 @@ TEST(AnonymizerTest, SplitThresholdOverrideChangesTreeNotSafety) {
   Rng rng(6);
   const MapExtent extent{0, 0, 5};
   const LocationDatabase db = RandomDb(&rng, 200, extent);
-  AnonymizerOptions coarse;
-  coarse.k = 5;
-  coarse.split_threshold = 50;  // much coarser tree than k
-  Result<Anonymizer> a = Anonymizer::Build(db, extent, coarse);
+  const int k = 5;
+  // A much coarser tree than the anonymizer's threshold-k one.
+  Result<BinaryTree> coarse =
+      BinaryTree::Build(db, extent, TreeOptions{.split_threshold = 50});
+  ASSERT_TRUE(coarse.ok());
+  Result<DpMatrix> matrix = ComputeDpMatrix(*coarse, k, DpOptions{});
+  ASSERT_TRUE(matrix.ok());
+  Result<ExtractedPolicy> a = ExtractOptimalPolicy(*coarse, *matrix, k);
   ASSERT_TRUE(a.ok());
-  EXPECT_GE(a->policy().MinGroupSize(), 5u);
+  EXPECT_GE(a->Table(*coarse).MinGroupSize(), 5u);
 
   AnonymizerOptions fine;
-  fine.k = 5;
+  fine.k = k;
   Result<Anonymizer> b = Anonymizer::Build(db, extent, fine);
   ASSERT_TRUE(b.ok());
   // The finer tree only adds cloak candidates: its optimum cannot be worse.
-  EXPECT_LE(b->cost(), a->cost());
+  EXPECT_LE(b->cost(), a->cost);
 }
 
 TEST(AnonymizerTest, RequestIdsAreFreshAndSequentialPerEngine) {

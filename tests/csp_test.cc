@@ -129,6 +129,39 @@ TEST(CspServerTest, AnswerCacheCountersMatchServerAccounting) {
             csp->stats().requests_served);
 }
 
+// A stale-origin move, which an advance must quarantine, for a row that
+// `moves` leaves alone.
+UserMove StaleMoveBeside(const std::vector<UserMove>& moves,
+                         const LocationDatabase& snapshot) {
+  std::vector<bool> moving(snapshot.size(), false);
+  for (const UserMove& move : moves) moving[move.row] = true;
+  uint32_t row = 0;
+  while (moving[row]) ++row;
+  const Point at = snapshot.row(row).location;
+  return UserMove{row, Point{at.x + 1, at.y}, Point{at.x + 1, at.y}};
+}
+
+// Advances `csp` by `moves` plus one stale move and checks where the rows
+// landed: every accepted move's row at its `to`, the quarantined row where
+// it was.
+Result<SnapshotReport> AdvanceAndExpectRowsPlaced(
+    CspServer& csp, const std::vector<UserMove>& moves) {
+  const UserMove stale = StaleMoveBeside(moves, csp.snapshot());
+  const Point stale_at = csp.snapshot().row(stale.row).location;
+  std::vector<UserMove> batch = moves;
+  batch.push_back(stale);
+  Result<SnapshotReport> report = csp.AdvanceSnapshot(batch);
+  if (!report.ok()) return report;
+  EXPECT_EQ(report->moves_applied, moves.size());
+  EXPECT_EQ(report->moves_quarantined, 1u);
+  for (const UserMove& move : moves) {
+    EXPECT_EQ(csp.snapshot().row(move.row).location, move.to)
+        << "row " << move.row;
+  }
+  EXPECT_EQ(csp.snapshot().row(stale.row).location, stale_at);
+  return report;
+}
+
 TEST(CspServerTest, SnapshotAdvanceChoosesIncrementalOrRebuild) {
   const BayAreaGenerator gen(SmallBay());
   LocationDatabase db = gen.Generate(1000);
@@ -147,7 +180,7 @@ TEST(CspServerTest, SnapshotAdvanceChoosesIncrementalOrRebuild) {
   small_move.seed = 1;
   const std::vector<UserMove> few = DrawMoves(csp->snapshot(), gen.extent(),
                                               small_move);
-  Result<SnapshotReport> r1 = csp->AdvanceSnapshot(few);
+  Result<SnapshotReport> r1 = AdvanceAndExpectRowsPlaced(*csp, few);
   ASSERT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_FALSE(r1->rebuilt);
   EXPECT_GT(r1->dp_rows_repaired, 0u);
@@ -159,7 +192,7 @@ TEST(CspServerTest, SnapshotAdvanceChoosesIncrementalOrRebuild) {
   big_move.seed = 2;
   const std::vector<UserMove> many = DrawMoves(csp->snapshot(), gen.extent(),
                                                big_move);
-  Result<SnapshotReport> r2 = csp->AdvanceSnapshot(many);
+  Result<SnapshotReport> r2 = AdvanceAndExpectRowsPlaced(*csp, many);
   ASSERT_TRUE(r2.ok());
   EXPECT_TRUE(r2->rebuilt);
   EXPECT_EQ(csp->stats().rebuilds, 1u);
@@ -279,7 +312,8 @@ TEST(CspServerTest, FailedIncrementalRepairFallsBackToRebuild) {
   ASSERT_TRUE(csp.ok());
 
   // Force the incremental repair itself to fail: the server must self-heal
-  // by rebuilding from the (already updated) snapshot, not fail the advance.
+  // by putting every accepted move in place and rebuilding, not fail the
+  // advance.
   fault::FaultPlan plan;
   plan.points.push_back({std::string(fault::kSnapshotRepairFail)});
   fault::FaultInjector::Global().Arm(plan, /*seed=*/5);
@@ -288,7 +322,7 @@ TEST(CspServerTest, FailedIncrementalRepairFallsBackToRebuild) {
   movement.seed = 9;
   const std::vector<UserMove> moves =
       DrawMoves(csp->snapshot(), gen.extent(), movement);
-  Result<SnapshotReport> report = csp->AdvanceSnapshot(moves);
+  Result<SnapshotReport> report = AdvanceAndExpectRowsPlaced(*csp, moves);
   fault::FaultInjector::Global().Disarm();
 
   ASSERT_TRUE(report.ok()) << report.status().ToString();

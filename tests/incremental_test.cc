@@ -6,11 +6,14 @@
 
 #include "pasa/incremental.h"
 #include "tests/test_util.h"
+#include "tests/tree_checks.h"
 #include "workload/movement.h"
 
 namespace pasa {
 namespace {
 
+using testing_util::ExpectLeavesPartitionAndCountsConsistent;
+using testing_util::MakeDb;
 using testing_util::RandomDb;
 
 Cost RebuildCost(const LocationDatabase& db, const MapExtent& extent, int k) {
@@ -115,9 +118,46 @@ TEST(IncrementalTest, MoveAcrossTheWholeMap) {
     const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
                    static_cast<Coord>(rng.NextBounded(extent.side()))};
     ASSERT_TRUE(inc->ApplyMoves({UserMove{row, from, to}}).ok());
-    ASSERT_TRUE(db.MoveUser(db.row(row).user, to).ok());
+    ASSERT_TRUE(db.MoveRow(row, to).ok());
     EXPECT_EQ(*inc->OptimalCost(), RebuildCost(db, extent, k)) << i;
   }
+}
+
+TEST(IncrementalTest, SplitMidBatchPlacesLaterMoversByTheirOldLocations) {
+  // On an 8x8 map at k = 3 the south-west square [0,4)x[0,4) is a leaf with
+  // rows 0 and 1. Move 0 brings row 6 in, which splits that leaf into
+  // [0,2)x[0,4) and [2,4)x[0,4) while row 0, moved only later in the same
+  // batch, still sits at (0,0): the split must file it west, by where it is
+  // now, not east, where move 1 takes it.
+  const MapExtent extent{0, 0, 3};
+  LocationDatabase db = MakeDb({{0, 0}, {3, 3},                // SW leaf
+                                {0, 5}, {1, 6}, {2, 7},        // NW
+                                {5, 1}, {6, 6}, {5, 5}, {6, 2}});  // east
+  const int k = 3;
+  Result<IncrementalAnonymizer> inc =
+      IncrementalAnonymizer::Build(db, extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  const int32_t sw = inc->tree().LeafForPoint({0, 0});
+  ASSERT_EQ(inc->tree().node(sw).region, (Rect{0, 0, 4, 4}));
+  ASSERT_EQ(inc->tree().node(sw).count, 2u);
+
+  const std::vector<UserMove> moves = {{6, {6, 6}, {1, 1}},
+                                       {0, {0, 0}, {3, 1}}};
+  Result<size_t> recomputed = inc->ApplyMoves(moves);
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  ASSERT_TRUE(ApplyMovesToDatabase(moves, &db).ok());
+  EXPECT_EQ(inc->snapshot().rows(), db.rows());
+  EXPECT_FALSE(inc->tree().node(sw).IsLeaf());
+
+  ExpectLeavesPartitionAndCountsConsistent(inc->tree(), db);
+  Result<Cost> cost = inc->OptimalCost();
+  ASSERT_TRUE(cost.ok());
+  EXPECT_EQ(*cost, RebuildCost(db, extent, k));
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  const CloakingTable table = policy->Table(inc->tree());
+  EXPECT_TRUE(table.IsMasking(db));
+  EXPECT_GE(table.MinGroupSize(), static_cast<size_t>(k));
 }
 
 TEST(IncrementalTest, GrowingRepairSizesTheRowArrayExactly) {

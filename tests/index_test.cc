@@ -10,10 +10,13 @@
 #include "index/morton.h"
 #include "index/quad_tree.h"
 #include "tests/test_util.h"
+#include "tests/tree_checks.h"
+#include "workload/bay_area.h"
 
 namespace pasa {
 namespace {
 
+using testing_util::ExpectLeavesPartitionAndCountsConsistent;
 using testing_util::MakeDb;
 using testing_util::RandomDb;
 
@@ -133,38 +136,6 @@ TEST(BinaryTreeTest, SubtreeRowsGathersExactlyTheResidents) {
   }
 }
 
-template <typename Tree>
-void ExpectLeavesPartitionAndCountsConsistent(const Tree& tree,
-                                              const LocationDatabase& db) {
-  // Every point lies in exactly one leaf, and leaf row lists are a
-  // partition of the snapshot.
-  std::vector<int> seen(db.size(), 0);
-  size_t leaf_total = 0;
-  for (size_t id = 0; id < tree.num_nodes(); ++id) {
-    const auto& n = tree.node(static_cast<int32_t>(id));
-    if constexpr (std::is_same_v<Tree, BinaryTree>) {
-      if (!n.live) continue;
-    }
-    if (!n.IsLeaf()) continue;
-    leaf_total += tree.LeafRows(static_cast<int32_t>(id)).size();
-    EXPECT_EQ(tree.LeafRows(static_cast<int32_t>(id)).size(), n.count);
-    for (const uint32_t row : tree.LeafRows(static_cast<int32_t>(id))) {
-      ++seen[row];
-      EXPECT_TRUE(n.region.Contains(db.row(row).location));
-    }
-  }
-  EXPECT_EQ(leaf_total, db.size());
-  for (const int count : seen) EXPECT_EQ(count, 1);
-  // Counts equal linear-scan occupancy for every live node.
-  for (size_t id = 0; id < tree.num_nodes(); ++id) {
-    const auto& n = tree.node(static_cast<int32_t>(id));
-    if constexpr (std::is_same_v<Tree, BinaryTree>) {
-      if (!n.live) continue;
-    }
-    EXPECT_EQ(n.count, db.CountInside(n.region));
-  }
-}
-
 TEST(QuadTreeTest, BuildInvariants) {
   Rng rng(21);
   const MapExtent extent{0, 0, 5};
@@ -264,8 +235,8 @@ TEST(BinaryTreeTest, ApplyMoveKeepsTreeIdenticalToRebuild) {
     const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
                    static_cast<Coord>(rng.NextBounded(extent.side()))};
     std::vector<int32_t> dirty;
-    ASSERT_TRUE(tree->ApplyMove(row, from, to, &dirty).ok());
-    ASSERT_TRUE(db.MoveUser(db.row(row).user, to).ok());
+    ASSERT_TRUE(db.MoveRow(row, to).ok());
+    ASSERT_TRUE(tree->ApplyMove(row, from, db, &dirty).ok());
     EXPECT_FALSE(dirty.empty());
   }
   ExpectLeavesPartitionAndCountsConsistent(*tree, db);
@@ -288,9 +259,24 @@ TEST(BinaryTreeTest, ApplyMoveValidatesInput) {
       BinaryTree::Build(db, extent, TreeOptions{.split_threshold = 1});
   ASSERT_TRUE(tree.ok());
   std::vector<int32_t> dirty;
-  EXPECT_FALSE(tree->ApplyMove(0, {1, 1}, {100, 100}, &dirty).ok());
-  EXPECT_FALSE(tree->ApplyMove(7, {1, 1}, {2, 2}, &dirty).ok());
-  EXPECT_FALSE(tree->ApplyMove(0, {5, 5}, {2, 2}, &dirty).ok());  // stale from
+  EXPECT_FALSE(tree->ApplyMove(7, {1, 1}, db, &dirty).ok());
+  ASSERT_TRUE(db.MoveRow(0, {100, 100}).ok());
+  EXPECT_FALSE(tree->ApplyMove(0, {1, 1}, db, &dirty).ok());
+  // A stale `from` is the engine's to catch: IncrementalTest.RejectsStaleMove.
+}
+
+TEST(BinaryTreeTest, HoldsNoCopyOfTheLocations) {
+  // The tree keeps row ids and reads locations from the snapshot: at k = 50
+  // on a 10^5-user Bay Area snapshot, its arena and leaf row lists together
+  // stay below what one copy of every location would cost.
+  BayAreaOptions options;
+  options.seed = 1;
+  const BayAreaGenerator generator(options);
+  const LocationDatabase db = generator.Generate(100'000);
+  Result<BinaryTree> tree = BinaryTree::Build(
+      db, generator.extent(), TreeOptions{.split_threshold = 50});
+  ASSERT_TRUE(tree.ok());
+  EXPECT_LT(tree->ApproxBytes(), db.size() * sizeof(Point));
 }
 
 }  // namespace

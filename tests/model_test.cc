@@ -62,18 +62,18 @@ TEST(LocationDatabaseTest, IndexStaysConsistent) {
   EXPECT_EQ(db.IndexOf(40).status().code(), StatusCode::kNotFound);
 
   // Moves change locations, never ids or rows.
-  ASSERT_TRUE(copy.MoveUser(12, {0, 9}).ok());
-  ASSERT_TRUE(copy.MoveUser(40, {1, 1}).ok());
+  ASSERT_TRUE(copy.MoveRow(2, {0, 9}).ok());  // user 12
+  ASSERT_TRUE(copy.MoveRow(4, {1, 1}).ok());  // user 40
   EXPECT_EQ(copy.row(2).location, (Point{0, 9}));
   expect_all_found(copy);
-  EXPECT_EQ(copy.MoveUser(99, {0, 0}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(copy.MoveRow(5, {0, 0}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LocationDatabaseTest, MoveUser) {
   LocationDatabase db = ExampleDb();
-  ASSERT_TRUE(db.MoveUser(1, {1, 1}).ok());
+  ASSERT_TRUE(db.MoveRow(0, {1, 1}).ok());  // Alice
   EXPECT_EQ(db.row(0).location, (Point{1, 1}));
-  EXPECT_EQ(db.MoveUser(99, {0, 0}).code(), StatusCode::kNotFound);
+  EXPECT_EQ(db.MoveRow(5, {0, 0}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(LocationDatabaseTest, BoundingBoxCoversAllRows) {
