@@ -150,13 +150,10 @@ Result<AnonymizedRequest> CspServer::Cloak(const ServiceRequest& sr,
 }
 
 Status CspServer::RefreshPolicy() {
-  Result<ExtractedPolicy> policy = engine_->ExtractPolicy();
-  if (!policy.ok()) {
-    policy_ = ExtractedPolicy{};
-    return policy.status();
-  }
-  policy_ = std::move(*policy);
-  return Status::Ok();
+  obs::ScopedSpan span("refresh_policy");
+  Status s = engine_->UpdatePolicy(&policy_);
+  if (!s.ok()) policy_ = ExtractedPolicy{};
+  return s;
 }
 
 Result<SnapshotReport> CspServer::AdvanceSnapshot(

@@ -83,14 +83,15 @@ class CspServer {
   Cost policy_cost() const { return policy_.cost; }
   /// The policy tree the current policy was extracted from.
   const BinaryTree& tree() const { return engine_->tree(); }
-  /// Cloaking tree node of every snapshot row under the current policy;
-  /// row r is served `tree().node(assignment()[r]).region`.
-  const std::vector<int32_t>& assignment() const {
-    return policy_.assignment;
-  }
+  /// The current policy as extracted from tree(): its configuration, its
+  /// cost and the cloaking tree node of every snapshot row; row r is served
+  /// `tree().node(extracted_policy().assignment[r]).region`.
+  const ExtractedPolicy& extracted_policy() const { return policy_; }
   /// The per-row cloaks of the current policy, materialized from the tree
   /// on each call (for audits and exports; serving reads the tree).
   CloakingTable policy() const { return policy_.Table(engine_->tree()); }
+  /// The configuration matrix the current policy was extracted from.
+  const DpMatrix& matrix() const { return engine_->matrix(); }
 
   /// What one HandleRequest decided, for callers (the network front end)
   /// that must echo the cloak decision back to the client: the assigned
@@ -180,6 +181,11 @@ class CspServer {
   Result<AnonymizedRequest> CloakRequest(const ServiceRequest& sr,
                                          int32_t* node);
 
+  /// Brings policy_ up to date with the engine (UpdatePolicy): right after
+  /// a successful repair only what the repair changed is re-walked; at a
+  /// rebuild, a repair fallback or after a failed refresh (policy_ empty)
+  /// the extraction is full. On failure policy_ is emptied: a half-updated
+  /// policy is never served.
   Status RefreshPolicy();
 
   CspOptions options_;
@@ -191,7 +197,9 @@ class CspServer {
   obs::Counter& rejected_counter_;
   std::unique_ptr<IncrementalAnonymizer> engine_;
   /// Extracted from engine_'s tree; emptied when an advance fails after
-  /// touching the tree, so no cloak is ever read from another tree.
+  /// touching the tree, so no cloak is ever read from another tree. Between
+  /// a repair and RefreshPolicy it is the policy of the tree as it was
+  /// before the repair, which UpdatePolicy requires.
   ExtractedPolicy policy_;
   std::unique_ptr<CachingLbsFrontend> frontend_;
   RequestId next_rid_ = 1;

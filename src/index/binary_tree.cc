@@ -153,7 +153,7 @@ void BinaryTree::GatherRows(int32_t id, std::vector<uint32_t>* out) const {
   GatherRows(n.first_child + 1, out);
 }
 
-void BinaryTree::Collapse(int32_t id) {
+void BinaryTree::Collapse(int32_t id, std::vector<Touch>* touched) {
   Node& n = nodes_[id];
   assert(!n.IsLeaf());
   std::vector<uint32_t> rows;
@@ -171,6 +171,7 @@ void BinaryTree::Collapse(int32_t id) {
     }
     c.live = false;
     --live_nodes_;
+    touched->push_back({cur, 0});
     leaf_rows_[cur].clear();
   }
   n.first_child = -1;
@@ -189,7 +190,7 @@ int32_t BinaryTree::LeafForPoint(const Point& p) const {
 
 Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
                              const LocationDatabase& db,
-                             std::vector<int32_t>* dirty) {
+                             std::vector<Touch>* touched) {
   if (row >= db.size()) return Status::InvalidArgument("row out of range");
   const Point& new_location = db.row(row).location;
   if (!nodes_[kRootId].region.Contains(new_location)) {
@@ -210,14 +211,14 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
   // Decrement counts up the old path.
   for (int32_t cur = old_leaf; cur >= 0; cur = nodes_[cur].parent) {
     --nodes_[cur].count;
-    dirty->push_back(cur);
+    touched->push_back({cur, -1});
   }
 
   const int32_t new_leaf = LeafForPoint(new_location);
   leaf_rows_[new_leaf].push_back(row);
   for (int32_t cur = new_leaf; cur >= 0; cur = nodes_[cur].parent) {
     ++nodes_[cur].count;
-    dirty->push_back(cur);
+    touched->push_back({cur, +1});
   }
 
   // Structural fix-up 1: the new leaf may now exceed the split threshold.
@@ -228,8 +229,8 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
     if (CanSplit(id)) {
       SplitLeaf(id, db);
       const int32_t first = nodes_[id].first_child;
-      dirty->push_back(first);
-      dirty->push_back(first + 1);
+      touched->push_back({first, 0});
+      touched->push_back({first + 1, 0});
       stack.push_back(first);
       stack.push_back(first + 1);
     }
@@ -247,8 +248,8 @@ Status BinaryTree::ApplyMove(uint32_t row, const Point& old_location,
     }
   }
   if (to_collapse >= 0) {
-    Collapse(to_collapse);
-    dirty->push_back(to_collapse);
+    Collapse(to_collapse, touched);
+    touched->push_back({to_collapse, 0});
   }
   return Status::Ok();
 }

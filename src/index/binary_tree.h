@@ -97,13 +97,23 @@ class BinaryTree {
     return rows;
   }
 
+  /// One node a move touched (its DP row may be stale) and what the move
+  /// did to its count d(m): -1 on the old path, +1 on the new path, 0 for a
+  /// node split, collapsed or abandoned. Over a batch of moves, a node's
+  /// count before the batch is its count after minus its deltas' sum.
+  struct Touch {
+    int32_t node = -1;
+    int32_t delta = 0;
+  };
+
   /// Relocates snapshot row `row` from `old_location` to where the moved `db`
   /// holds it, updating counts on both root-to-leaf paths and re-splitting/
-  /// collapsing where occupancy crosses the threshold. Appends every node
-  /// whose count changed (hence whose DP row is stale) to `dirty`, deepest
-  /// first is NOT guaranteed. InvalidArgument for a bad row or destination.
+  /// collapsing where occupancy crosses the threshold. Appends every node it
+  /// touches to `touched`, in no particular order: both paths, the children
+  /// of every split and every node a collapse abandons. InvalidArgument for
+  /// a bad row or destination.
   Status ApplyMove(uint32_t row, const Point& old_location,
-                   const LocationDatabase& db, std::vector<int32_t>* dirty);
+                   const LocationDatabase& db, std::vector<Touch>* touched);
 
   /// Maximum depth over live nodes.
   int Height() const;
@@ -145,8 +155,9 @@ class BinaryTree {
   /// Materializes the two children of leaf `id` and distributes its rows
   /// by their current locations in `db`.
   void SplitLeaf(int32_t id, const LocationDatabase& db);
-  /// Turns internal node `id` back into a leaf, gathering descendant rows.
-  void Collapse(int32_t id);
+  /// Turns internal node `id` back into a leaf, gathering descendant rows;
+  /// appends every node it abandons to `touched`.
+  void Collapse(int32_t id, std::vector<Touch>* touched);
   void GatherRows(int32_t id, std::vector<uint32_t>* out) const;
   /// Geometry of one split: the two child regions and their kind.
   struct SplitPlan {

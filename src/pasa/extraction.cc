@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <tuple>
+#include <utility>
 
 #include "obs/provenance.h"
 
@@ -39,82 +42,156 @@ std::pair<uint32_t, uint32_t> FindChildSplit(const DpMatrix& matrix,
   return split;
 }
 
-}  // namespace
-
-Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
-                                             const DpMatrix& matrix, int k) {
+// Extracts into `out`. With `changed` null every node is re-derived;
+// otherwise `out` holds the policy extracted before the repair that changed
+// those nodes (see UpdateOptimalPolicy) and pass 1 revisits only what they
+// reach.
+Status Extract(const BinaryTree& tree, const DpMatrix& matrix, int k,
+               const std::vector<int32_t>* changed, ExtractedPolicy* out) {
   const BinaryTree::Node& root = tree.node(BinaryTree::kRootId);
-  ExtractedPolicy out;
-  out.config.passed_up.assign(tree.num_nodes(), 0);
-  if (root.count == 0) return out;
+  if (root.count == 0) {
+    *out = ExtractedPolicy{};
+    out->config.passed_up.assign(tree.num_nodes(), 0);
+    return Status::Ok();
+  }
   if (root.count < static_cast<uint32_t>(k)) {
     return Status::Infeasible("fewer than k users in the snapshot");
   }
   {
     Result<Cost> optimal = matrix.OptimalCost(tree);
     if (!optimal.ok()) return optimal.status();
-    out.cost = *optimal;
+    out->cost = *optimal;
   }
 
   // Pass 1 (top-down): fix C(m) for every live node, following the
-  // bookkeeping of minimum-cost entries.
-  std::vector<uint32_t>& u_of = out.config.passed_up;
-  std::vector<int32_t> stack = {BinaryTree::kRootId};
-  u_of[BinaryTree::kRootId] = 0;
+  // bookkeeping of minimum-cost entries. A node's children's C depend only
+  // on its own row, count and C and on its children's rows and counts, so
+  // they are re-derived only where one of those changed, and the walk
+  // descends only into a child whose C changed or whose subtree holds a
+  // changed node. New slots and abandoned nodes hold 0, as in a full
+  // extraction.
+  std::vector<uint32_t>& u_of = out->config.passed_up;
+  std::vector<uint8_t> mark;  // empty: everything changed
+  enum : uint8_t { kChanged = 1, kBelow = 2 };  // kBelow: subtree has one
+  if (changed == nullptr) {
+    u_of.assign(tree.num_nodes(), 0);
+  } else {
+    u_of.resize(tree.num_nodes(), 0);
+    mark.assign(tree.num_nodes(), 0);
+    for (const int32_t id : *changed) {
+      if (!tree.node(id).live) {
+        u_of[id] = 0;
+        continue;
+      }
+      mark[id] |= kChanged;
+      for (int32_t cur = id; cur >= 0 && !(mark[cur] & kBelow);
+           cur = tree.node(cur).parent) {
+        mark[cur] |= kBelow;
+      }
+    }
+  }
+  auto is_changed = [&](int32_t id) {
+    return mark.empty() || (mark[id] & kChanged) != 0;
+  };
+  auto below = [&](int32_t id) {
+    return mark.empty() || (mark[id] & kBelow) != 0;
+  };
+  // (node, whether the C handed to it changed); the root's C is always 0.
+  std::vector<std::pair<int32_t, bool>> stack;
+  if (below(BinaryTree::kRootId)) {
+    stack.emplace_back(BinaryTree::kRootId, false);
+  }
   while (!stack.empty()) {
-    const int32_t id = stack.back();
+    const auto [id, handed] = stack.back();
     stack.pop_back();
     const BinaryTree::Node& n = tree.node(id);
     if (n.IsLeaf()) continue;
     const int32_t c1 = n.first_child;
     const int32_t c2 = n.first_child + 1;
-    const uint32_t d1 = tree.node(c1).count;
-    const uint32_t d2 = tree.node(c2).count;
-    const uint32_t u = u_of[id];
-    if (u == n.count) {
-      // Pass-everything-up: the whole subtree cloaks nothing.
-      u_of[c1] = d1;
-      u_of[c2] = d2;
-    } else {
-      const DpRow& row = matrix.rows[id];
-      assert(u < row.children_pass.size());
-      const uint32_t j = row.children_pass[u];
-      const auto [l1, l2] = FindChildSplit(matrix, j, d1, d2, c1, c2);
+    bool moved1 = false;
+    bool moved2 = false;
+    if (handed || is_changed(id) || is_changed(c1) || is_changed(c2)) {
+      const uint32_t d1 = tree.node(c1).count;
+      const uint32_t d2 = tree.node(c2).count;
+      const uint32_t u = u_of[id];
+      uint32_t l1 = d1;
+      uint32_t l2 = d2;
+      if (u != n.count) {
+        // Otherwise pass-everything-up: the whole subtree cloaks nothing.
+        const DpRow& row = matrix.rows[id];
+        if (u >= row.children_pass.size()) {
+          return Status::Internal("C(m) outside the node's DP row");
+        }
+        std::tie(l1, l2) = FindChildSplit(matrix, row.children_pass[u], d1,
+                                          d2, c1, c2);
+      }
+      moved1 = l1 != u_of[c1];
+      moved2 = l2 != u_of[c2];
       u_of[c1] = l1;
       u_of[c2] = l2;
     }
-    stack.push_back(c1);
-    stack.push_back(c2);
+    if (moved1 || below(c1)) stack.emplace_back(c1, moved1);
+    if (moved2 || below(c2)) stack.emplace_back(c2, moved2);
   }
 
   // Pass 2 (bottom-up): materialize the policy. Each node cloaks the first
-  // (available - C(m)) rows of its pool and passes the rest up.
+  // (available - C(m)) rows of its pool and passes the rest up. Pools live
+  // in one buffer: a node's pool is the buffer's tail from where its walk
+  // began, and what it passes up is moved down to that start. The buffer
+  // holds one leaf's rows plus what the finished siblings along the current
+  // path pass up, so it stays small.
   const size_t num_rows = root.count;
-  out.assignment.assign(num_rows, -1);
-  auto assign_pool = [&](auto&& self, int32_t id) -> std::vector<uint32_t> {
+  out->assignment.assign(num_rows, -1);
+  std::vector<uint32_t> pool(std::min<size_t>(num_rows, 4096));
+  size_t end = 0;
+  // False when a node's pool is smaller than its C(m).
+  auto assign_pool = [&](auto&& self, int32_t id) -> bool {
     const BinaryTree::Node& n = tree.node(id);
-    std::vector<uint32_t> pool;
+    const size_t start = end;
     if (n.IsLeaf()) {
-      pool = tree.LeafRows(id);
-    } else {
-      pool = self(self, n.first_child);
-      std::vector<uint32_t> right = self(self, n.first_child + 1);
-      pool.insert(pool.end(), right.begin(), right.end());
+      const std::vector<uint32_t>& rows = tree.LeafRows(id);
+      if (end + rows.size() > pool.size()) {
+        pool.resize(std::max(2 * pool.size(), end + rows.size()));
+      }
+      std::memcpy(pool.data() + end, rows.data(),
+                  rows.size() * sizeof(uint32_t));
+      end += rows.size();
+    } else if (!self(self, n.first_child) ||
+               !self(self, n.first_child + 1)) {
+      return false;
     }
     const uint32_t u = u_of[id];
-    assert(pool.size() >= u);
-    const size_t cloaked = pool.size() - u;
-    for (size_t i = 0; i < cloaked; ++i) out.assignment[pool[i]] = id;
-    pool.erase(pool.begin(), pool.begin() + static_cast<ptrdiff_t>(cloaked));
-    return pool;
+    if (end - start < u) return false;
+    const size_t cloaked = end - start - u;
+    for (size_t i = start; i < start + cloaked; ++i) {
+      out->assignment[pool[i]] = id;
+    }
+    std::memmove(pool.data() + start, pool.data() + start + cloaked,
+                 u * sizeof(uint32_t));
+    end = start + u;
+    return true;
   };
-  std::vector<uint32_t> leftover = assign_pool(assign_pool, BinaryTree::kRootId);
-  if (!leftover.empty() ||
-      std::find(out.assignment.begin(), out.assignment.end(), -1) !=
-          out.assignment.end()) {
+  if (!assign_pool(assign_pool, BinaryTree::kRootId) || end != 0 ||
+      std::find(out->assignment.begin(), out->assignment.end(), -1) !=
+          out->assignment.end()) {
     return Status::Internal("complete configuration left rows uncloaked");
   }
+  return Status::Ok();
+}
+
+}  // namespace
+
+Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
+                                             const DpMatrix& matrix, int k) {
+  ExtractedPolicy out;
+  if (Status s = Extract(tree, matrix, k, nullptr, &out); !s.ok()) return s;
   return out;
+}
+
+Status UpdateOptimalPolicy(const BinaryTree& tree, const DpMatrix& matrix,
+                           int k, const std::vector<int32_t>& changed,
+                           ExtractedPolicy* policy) {
+  return Extract(tree, matrix, k, &changed, policy);
 }
 
 uint32_t ExtractedPolicy::GroupSize(const BinaryTree& tree,

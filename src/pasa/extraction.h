@@ -54,6 +54,18 @@ struct ExtractedPolicy {
 Result<ExtractedPolicy> ExtractOptimalPolicy(const BinaryTree& tree,
                                              const DpMatrix& matrix, int k);
 
+/// Brings `policy`, extracted from this tree and matrix before one
+/// incremental repair, up to date with the repaired ones. `changed` lists
+/// every node the repair changed: new nodes, nodes whose row or count
+/// changed, and abandoned ones. The top-down pass revisits only the nodes
+/// they reach; the pools are rebuilt in full (a leaf's row order changes
+/// with any move through it). The result is identical to
+/// ExtractOptimalPolicy on the repaired tree. On failure `policy` is partly
+/// updated and must be discarded.
+Status UpdateOptimalPolicy(const BinaryTree& tree, const DpMatrix& matrix,
+                           int k, const std::vector<int32_t>& changed,
+                           ExtractedPolicy* policy);
+
 /// Records the cloak decision behind one request on `record`: its rid and
 /// sender, k, the rectangle of cloaking node `node`, the node's place in
 /// `tree`, the anonymity group it hides the sender in and C(node).

@@ -49,6 +49,8 @@ Result<IncrementalAnonymizer> IncrementalAnonymizer::Build(
 
 Status IncrementalAnonymizer::Rebuild(const std::vector<UserMove>& moves) {
   obs::ScopedSpan span("rebuild");
+  repaired_ = false;
+  std::vector<int32_t>().swap(changed_);
   if (Status s = ApplyMovesToDatabase(moves, &db_); !s.ok()) return s;
   Result<std::pair<BinaryTree, DpMatrix>> built =
       BuildTreeAndMatrix(db_, tree_.extent(), k_, dp_options_);
@@ -60,8 +62,11 @@ Status IncrementalAnonymizer::Rebuild(const std::vector<UserMove>& moves) {
 Result<size_t> IncrementalAnonymizer::ApplyMoves(
     const std::vector<UserMove>& moves) {
   obs::ScopedSpan span("incremental/repair", obs::ScopedSpan::kRoot);
-  std::vector<int32_t> dirty;
-  dirty.reserve(moves.size() * 48);
+  repaired_ = false;
+  changed_.clear();
+  const size_t old_nodes = tree_.num_nodes();
+  std::vector<BinaryTree::Touch> touched;
+  touched.reserve(moves.size() * 48);
   // Lockstep: a split during move i sees moves up to i at their new places
   // and later movers still at their old ones.
   const Rect map = tree_.node(BinaryTree::kRootId).region;
@@ -76,37 +81,65 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
           std::to_string(move.row));
     }
     Status s = db_.MoveRow(move.row, move.to);  // rejects an unknown row
-    if (s.ok()) s = tree_.ApplyMove(move.row, move.from, db_, &dirty);
+    if (s.ok()) s = tree_.ApplyMove(move.row, move.from, db_, &touched);
     if (!s.ok()) return s;
   }
-
-  // Deduplicate, drop abandoned nodes, grow the matrix for new arena slots.
-  std::sort(dirty.begin(), dirty.end());
-  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
   if (matrix_.rows.size() < tree_.num_nodes()) {
     matrix_.rows.reserve(tree_.num_nodes());  // exactly: resize would double
     matrix_.rows.resize(tree_.num_nodes());
   }
 
+  // Per node, for this call only: its count now minus before the batch,
+  // and whether it was touched / is new or changed (row or count).
+  enum : uint8_t { kTouched = 1, kChanged = 2 };
+  std::vector<int32_t> delta(tree_.num_nodes(), 0);
+  std::vector<uint8_t> state(tree_.num_nodes(), 0);
   // Children before parents: a child's binary depth is strictly greater
-  // than its parent's, so recompute in depth-descending order.
-  std::sort(dirty.begin(), dirty.end(), [&](int32_t a, int32_t b) {
-    return tree_.node(a).depth > tree_.node(b).depth;
-  });
+  // than its parent's, so one sort of (inverted depth, node) keys orders
+  // the touched nodes.
+  std::vector<uint64_t> keys;
+  for (const BinaryTree::Touch& t : touched) {
+    delta[t.node] += t.delta;
+    if (state[t.node] & kTouched) continue;
+    state[t.node] |= kTouched;
+    const uint64_t depth = static_cast<uint64_t>(tree_.node(t.node).depth);
+    keys.push_back(((uint64_t{0xffff} - depth) << 32) |
+                   static_cast<uint32_t>(t.node));
+  }
+  std::sort(keys.begin(), keys.end());
 
   DpScratch scratch;
   DpPhaseProfile profile;  // dirty leaves' laps go to leaf_init, unreported
   DpPhaseProfile* p = obs::Enabled() ? &profile : nullptr;
   size_t recomputed = 0;
-  for (const int32_t id : dirty) {
-    if (!tree_.node(id).live) {
+  size_t rows_changed = 0;
+  for (const uint64_t key : keys) {
+    const int32_t id = static_cast<int32_t>(key & 0xffffffffu);
+    const BinaryTree::Node& n = tree_.node(id);
+    const bool is_new = static_cast<size_t>(id) >= old_nodes;
+    if (!n.live) {
       matrix_.rows[id] = DpRow{};  // reclaim abandoned rows
+      if (!is_new) changed_.push_back(id);
       continue;
     }
-    matrix_.rows[id] =
+    if (!is_new && !n.IsLeaf() && !(state[n.first_child] & kChanged) &&
+        !(state[n.first_child + 1] & kChanged)) {
+      continue;  // both children's rows and counts are as before the batch
+    }
+    DpRow row =
         ComputeNodeRow(tree_, id, matrix_, k_, dp_options_, &scratch, p);
     ++recomputed;
+    DpRow& old = matrix_.rows[id];
+    if (!is_new && delta[id] == 0 && row.dense == old.dense &&
+        row.children_pass == old.children_pass) {
+      continue;
+    }
+    old = std::move(row);
+    state[id] |= kChanged;
+    changed_.push_back(id);
+    ++rows_changed;
   }
+  repaired_ = true;
   if (p != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
     if (dp_options_.two_stage) {
@@ -118,14 +151,32 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
     }
     registry.GetCounter("incremental/moves_applied").Increment(moves.size());
     registry.GetCounter("incremental/rows_recomputed").Increment(recomputed);
+    registry.GetCounter("incremental/rows_changed").Increment(rows_changed);
     registry.GetCounter("incremental/repairs").Increment();
     obs::TraceCounter("incremental/rows_recomputed",
                       static_cast<double>(recomputed));
   }
   obs::LogDebug("incremental", "repair: %zu moves, %zu dirty rows, "
-                "%zu recomputed",
-                moves.size(), dirty.size(), recomputed);
+                "%zu recomputed, %zu changed",
+                moves.size(), keys.size(), recomputed, rows_changed);
   return recomputed;
+}
+
+Status IncrementalAnonymizer::UpdatePolicy(ExtractedPolicy* policy) {
+  Status s = Status::Ok();
+  if (repaired_ && !policy->assignment.empty()) {
+    s = UpdateOptimalPolicy(tree_, matrix_, k_, changed_, policy);
+  } else {
+    Result<ExtractedPolicy> extracted = ExtractPolicy();
+    if (extracted.ok()) {
+      *policy = std::move(*extracted);
+    } else {
+      s = extracted.status();
+    }
+  }
+  repaired_ = false;
+  std::vector<int32_t>().swap(changed_);
+  return s;
 }
 
 }  // namespace pasa

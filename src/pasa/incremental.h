@@ -30,10 +30,11 @@ Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
 ///
 /// Owns the snapshot, the binary tree and the DP matrix. ApplyMoves
 /// relocates users, re-splits/collapses tree nodes where occupancy crosses
-/// the lazy threshold, and re-runs the bottom-up DP step only for nodes
-/// whose subtree changed — the "added twist" of starting from the leaves
-/// whose d(m) changed. The result is always identical to a from-scratch
-/// rebuild on the new snapshot (the tests assert equal optimal costs).
+/// the lazy threshold, and re-runs the bottom-up DP step starting from the
+/// leaves whose d(m) changed — the paper's "added twist" — and going up
+/// only while rows keep changing. Every live row is identical to a
+/// from-scratch ComputeDpMatrix on the same tree, and UpdatePolicy to a
+/// from-scratch extraction.
 class IncrementalAnonymizer {
  public:
   /// Builds the initial tree and matrix for the first snapshot, and keeps it.
@@ -50,6 +51,13 @@ class IncrementalAnonymizer {
   /// DP rows recomputed (the measure of incremental work). A move with an
   /// unknown row, a stale `from` or a `to` off the map is InvalidArgument,
   /// after which only Rebuild is valid.
+  ///
+  /// Touched nodes are visited deepest first. A row is recomputed only if
+  /// it is a leaf, or new, or a child of it is new or changed; a row
+  /// changed unless its costs, its children's passes and its count d(m) all
+  /// equal theirs before the batch. Rows are pure functions of their
+  /// children's rows and counts, their own count, region and depth, so the
+  /// cutoff is exact.
   Result<size_t> ApplyMoves(const std::vector<UserMove>& moves);
 
   /// Puts every moved row at its `to` (safe after a failed ApplyMoves of the
@@ -63,6 +71,15 @@ class IncrementalAnonymizer {
   Result<ExtractedPolicy> ExtractPolicy() const {
     return ExtractOptimalPolicy(tree_, matrix_, k_);
   }
+
+  /// Brings `policy` up to date; the result equals ExtractPolicy(). Right
+  /// after a successful ApplyMoves, a non-empty `policy` must be the one
+  /// extracted from this engine just before it, and pass 1 revisits only
+  /// what that repair changed (UpdateOptimalPolicy). Otherwise — after
+  /// Build or Rebuild, a second UpdatePolicy, or with an empty `policy` —
+  /// the extraction is full. Consumes the repair's change list. On failure
+  /// `policy` is partly updated and must be discarded.
+  Status UpdatePolicy(ExtractedPolicy* policy);
 
  private:
   IncrementalAnonymizer(int k, DpOptions dp_options, LocationDatabase db,
@@ -78,6 +95,10 @@ class IncrementalAnonymizer {
   LocationDatabase db_;
   BinaryTree tree_;
   DpMatrix matrix_;
+  /// What the last successful ApplyMoves changed, for UpdatePolicy: new
+  /// nodes, nodes whose row or count changed, and abandoned ones.
+  std::vector<int32_t> changed_;
+  bool repaired_ = false;  ///< changed_ describes the current tree
 };
 
 }  // namespace pasa

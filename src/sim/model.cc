@@ -375,7 +375,7 @@ std::string SimModel::DigestText() const {
   }
   out << "cloaks=";
   const BinaryTree& tree = csp_.tree();
-  for (const int32_t node : csp_.assignment()) {
+  for (const int32_t node : csp_.extracted_policy().assignment) {
     const Rect& c = tree.node(node).region;
     out << c.x1 << "," << c.y1 << "," << c.x2 << "," << c.y2 << ";";
   }

@@ -136,9 +136,9 @@ TEST(AdaptiveOrientation, ApplyMoveKeepsPartitionAndOptimality) {
     const Point from = db.row(row).location;
     const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
                    static_cast<Coord>(rng.NextBounded(extent.side()))};
-    std::vector<int32_t> dirty;
+    std::vector<BinaryTree::Touch> touched;
     ASSERT_TRUE(db.MoveRow(row, to).ok());
-    ASSERT_TRUE(tree->ApplyMove(row, from, db, &dirty).ok());
+    ASSERT_TRUE(tree->ApplyMove(row, from, db, &touched).ok());
   }
   size_t leaf_users = 0;
   for (size_t i = 0; i < tree->num_nodes(); ++i) {

@@ -229,7 +229,9 @@ TEST(CspServerTest, ServedCloaksMatchThePolicyTreeAfterEachAdvance) {
     const auto groups = table.GroupSizesByRegion();
     const LocationDatabase& snapshot = csp->snapshot();
     ASSERT_EQ(table.size(), snapshot.size()) << phase;
-    ASSERT_EQ(csp->assignment().size(), snapshot.size()) << phase;
+    const std::vector<int32_t>& assignment =
+        csp->extracted_policy().assignment;
+    ASSERT_EQ(assignment.size(), snapshot.size()) << phase;
     for (size_t row = 0; row < snapshot.size(); ++row) {
       const UserLocation& user = snapshot.row(row);
       uint64_t group_size = 0;
@@ -239,7 +241,7 @@ TEST(CspServerTest, ServedCloaksMatchThePolicyTreeAfterEachAdvance) {
       ASSERT_TRUE(ar.ok()) << phase << " row " << row;
       EXPECT_EQ(ar->cloak, table.cloak(row)) << phase << " row " << row;
       EXPECT_EQ(ar->cloak,
-                csp->tree().node(csp->assignment()[row]).region)
+                csp->tree().node(assignment[row]).region)
           << phase << " row " << row;
       EXPECT_EQ(group_size, groups.at(ar->cloak.ToString()))
           << phase << " row " << row;
@@ -340,6 +342,89 @@ TEST(CspServerTest, FailedIncrementalRepairFallsBackToRebuild) {
       csp->snapshot(), gen.extent(), options.k, options.dp);
   ASSERT_TRUE(fresh.ok());
   EXPECT_EQ(csp->policy_cost(), *fresh->OptimalCost());
+}
+
+TEST(CspServerTest, RefreshedPolicyEqualsAFullExtraction) {
+  // After every kind of advance the served policy is exactly what a full
+  // extraction on the engine's tree and matrix yields: after repairs (whose
+  // refresh re-walks only what changed), after a repair fallback, after a
+  // rebuild and after a repair that follows them.
+  const BayAreaGenerator gen(SmallBay());
+  CspOptions options;
+  options.k = 10;
+  options.rebuild_fraction = 0.05;
+  Result<CspServer> csp = CspServer::Start(gen.Generate(1500), gen.extent(),
+                                           SomePois(gen.extent(), 10),
+                                           options);
+  ASSERT_TRUE(csp.ok());
+  auto expect_full_extraction = [&](const std::string& phase) {
+    Result<ExtractedPolicy> full =
+        ExtractOptimalPolicy(csp->tree(), csp->matrix(), options.k);
+    ASSERT_TRUE(full.ok()) << phase;
+    const ExtractedPolicy& served = csp->extracted_policy();
+    EXPECT_EQ(served.config.passed_up, full->config.passed_up) << phase;
+    EXPECT_EQ(served.assignment, full->assignment) << phase;
+    EXPECT_EQ(served.cost, full->cost) << phase;
+    const CloakingTable table = csp->policy();
+    const CloakingTable want = full->Table(csp->tree());
+    ASSERT_EQ(table.size(), want.size()) << phase;
+    size_t differing = 0;
+    for (size_t row = 0; row < table.size(); ++row) {
+      differing += table.cloak(row) == want.cloak(row) ? 0 : 1;
+    }
+    EXPECT_EQ(differing, 0u) << phase;
+  };
+  uint64_t seed = 40;
+  auto advance = [&](double fraction) {
+    MovementOptions movement;
+    movement.moving_fraction = fraction;
+    movement.max_distance = 80.0;
+    movement.seed = ++seed;
+    return csp->AdvanceSnapshot(
+        DrawMoves(csp->snapshot(), gen.extent(), movement));
+  };
+
+  for (int i = 0; i < 3; ++i) {
+    Result<SnapshotReport> repair = advance(0.02);
+    ASSERT_TRUE(repair.ok()) << repair.status().ToString();
+    ASSERT_FALSE(repair->rebuilt);
+    expect_full_extraction("repair " + std::to_string(i));
+  }
+
+  fault::FaultPlan plan;
+  plan.points.push_back({std::string(fault::kSnapshotRepairFail)});
+  fault::FaultInjector::Global().Arm(plan, /*seed=*/5);
+  Result<SnapshotReport> fallback = advance(0.02);
+  fault::FaultInjector::Global().Disarm();
+  ASSERT_TRUE(fallback.ok()) << fallback.status().ToString();
+  ASSERT_TRUE(fallback->repair_fell_back_to_rebuild);
+  expect_full_extraction("repair fallback");
+  Result<SnapshotReport> after_fallback = advance(0.02);
+  ASSERT_TRUE(after_fallback.ok());
+  ASSERT_FALSE(after_fallback->rebuilt);
+  expect_full_extraction("repair after the fallback");
+
+  Result<SnapshotReport> rebuild = advance(0.10);
+  ASSERT_TRUE(rebuild.ok()) << rebuild.status().ToString();
+  ASSERT_TRUE(rebuild->rebuilt);
+  expect_full_extraction("rebuild");
+  Result<SnapshotReport> after_rebuild = advance(0.02);
+  ASSERT_TRUE(after_rebuild.ok());
+  ASSERT_FALSE(after_rebuild->rebuilt);
+  expect_full_extraction("repair after the rebuild");
+
+  // An advance whose every move is quarantined leaves the policy as it was.
+  const ExtractedPolicy before = csp->extracted_policy();
+  const Point a = csp->snapshot().row(0).location;
+  Result<SnapshotReport> quarantined =
+      csp->AdvanceSnapshot({UserMove{0, {a.x + 1, a.y}, a}});
+  ASSERT_TRUE(quarantined.ok()) << quarantined.status().ToString();
+  ASSERT_EQ(quarantined->moves_quarantined, 1u);
+  EXPECT_EQ(csp->extracted_policy().config.passed_up,
+            before.config.passed_up);
+  EXPECT_EQ(csp->extracted_policy().assignment, before.assignment);
+  EXPECT_EQ(csp->extracted_policy().cost, before.cost);
+  expect_full_extraction("quarantine only");
 }
 
 TEST(CspServerTest, CorruptedMoveFeedEndsInQuarantineNotCrash) {

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "pasa/incremental.h"
 #include "tests/test_util.h"
 #include "tests/tree_checks.h"
+#include "workload/bay_area.h"
 #include "workload/movement.h"
 
 namespace pasa {
@@ -87,6 +90,267 @@ INSTANTIATE_TEST_SUITE_P(
              "_k" + std::to_string(p.k) + "_move" +
              std::to_string(static_cast<int>(p.moving_fraction * 100));
     });
+
+// The oracle is the from-scratch code on the engine's own tree: every live
+// row must equal ComputeDpMatrix's, and `policy`, kept up to date with
+// UpdatePolicy, must equal ExtractOptimalPolicy's configuration, assignment
+// and cost.
+void ExpectMatchesFromScratch(const IncrementalAnonymizer& engine,
+                              const ExtractedPolicy& policy, int k,
+                              const std::string& label) {
+  const BinaryTree& tree = engine.tree();
+  Result<DpMatrix> fresh = ComputeDpMatrix(tree, k, DpOptions{});
+  ASSERT_TRUE(fresh.ok()) << label;
+  ASSERT_EQ(engine.matrix().rows.size(), tree.num_nodes()) << label;
+  size_t mismatched = 0;
+  for (size_t id = 0; id < tree.num_nodes(); ++id) {
+    if (!tree.node(static_cast<int32_t>(id)).live) continue;
+    const DpRow& got = engine.matrix().rows[id];
+    const DpRow& want = fresh->rows[id];
+    if (got.dense != want.dense || got.children_pass != want.children_pass) {
+      if (mismatched++ < 3) ADD_FAILURE() << label << ": row " << id;
+    }
+  }
+  EXPECT_EQ(mismatched, 0u) << label;
+  Result<ExtractedPolicy> full = ExtractOptimalPolicy(tree, *fresh, k);
+  ASSERT_TRUE(full.ok()) << label;
+  EXPECT_EQ(policy.config.passed_up, full->config.passed_up) << label;
+  EXPECT_EQ(policy.assignment, full->assignment) << label;
+  EXPECT_EQ(policy.cost, full->cost) << label;
+}
+
+// Applies `moves`, updates `policy` and checks both against the oracle.
+void RepairAndCheck(IncrementalAnonymizer* engine, ExtractedPolicy* policy,
+                    const std::vector<UserMove>& moves, int k,
+                    const std::string& label) {
+  Result<size_t> recomputed = engine->ApplyMoves(moves);
+  ASSERT_TRUE(recomputed.ok()) << label << ": "
+                               << recomputed.status().ToString();
+  Status s = engine->UpdatePolicy(policy);
+  ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
+  ExpectMatchesFromScratch(*engine, *policy, k, label);
+}
+
+class IncrementalOracle : public ::testing::TestWithParam<IncrementalParam> {};
+
+TEST_P(IncrementalOracle, RowsAndPolicyEqualFromScratchAfterEveryBatch) {
+  const IncrementalParam p = GetParam();
+  Rng rng(p.seed);
+  const MapExtent extent{0, 0, 6};
+  Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
+      RandomDb(&rng, p.n, extent), extent, p.k, DpOptions{});
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  for (int batch = 0; batch < 8; ++batch) {
+    MovementOptions movement;
+    movement.moving_fraction = p.moving_fraction;
+    movement.max_distance = 12.0;
+    movement.seed = p.seed * 1000 + static_cast<uint64_t>(batch);
+    RepairAndCheck(&*inc, &*policy,
+                   DrawMoves(inc->snapshot(), extent, movement), p.k,
+                   "batch " + std::to_string(batch));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomDbs, IncrementalOracle,
+    ::testing::Values(IncrementalParam{21, 150, 3, 0.02},
+                      IncrementalParam{22, 150, 3, 0.20},
+                      IncrementalParam{23, 400, 5, 0.05},
+                      IncrementalParam{24, 400, 8, 0.01},
+                      IncrementalParam{25, 1000, 10, 0.03},
+                      IncrementalParam{26, 300, 2, 0.50}),
+    [](const ::testing::TestParamInfo<IncrementalParam>& info) {
+      const IncrementalParam& p = info.param;
+      return "seed" + std::to_string(p.seed) + "_n" + std::to_string(p.n) +
+             "_k" + std::to_string(p.k) + "_move" +
+             std::to_string(static_cast<int>(p.moving_fraction * 100));
+    });
+
+TEST(IncrementalOracleTest, BayAreaSnapshot) {
+  BayAreaOptions options;
+  options.log2_map_side = 14;
+  options.num_intersections = 2000;
+  options.users_per_intersection = 10;
+  options.user_sigma = 60.0;
+  options.num_clusters = 12;
+  options.seed = 26;
+  const BayAreaGenerator gen(options);
+  const int k = 20;
+  Result<IncrementalAnonymizer> inc =
+      IncrementalAnonymizer::Build(gen.Generate(20'000), gen.extent(), k,
+                                   DpOptions{});
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  for (int batch = 0; batch < 6; ++batch) {
+    MovementOptions movement;
+    movement.moving_fraction = batch % 2 == 0 ? 0.005 : 0.02;
+    movement.max_distance = 200.0;
+    movement.seed = 2600 + static_cast<uint64_t>(batch);
+    RepairAndCheck(&*inc, &*policy,
+                   DrawMoves(inc->snapshot(), gen.extent(), movement), k,
+                   "batch " + std::to_string(batch));
+  }
+}
+
+TEST(IncrementalOracleTest, BatchesThatSplitAndCollapseNodes) {
+  // Piling 40 users into one corner splits leaves there; sending them back
+  // collapses those nodes again; then half come back while others leave.
+  Rng rng(27);
+  const MapExtent extent{0, 0, 6};
+  const LocationDatabase db = RandomDb(&rng, 400, extent);
+  const int k = 5;
+  Result<IncrementalAnonymizer> inc =
+      IncrementalAnonymizer::Build(db, extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  auto corner = [](uint32_t row) {
+    return Point{static_cast<Coord>(row % 3), static_cast<Coord>(row % 2)};
+  };
+
+  std::vector<UserMove> pile;
+  std::vector<UserMove> back;
+  for (uint32_t row = 0; row < 40; ++row) {
+    pile.push_back({row, db.row(row).location, corner(row)});
+    back.push_back({row, corner(row), db.row(row).location});
+  }
+  const size_t nodes_before = inc->tree().num_nodes();
+  RepairAndCheck(&*inc, &*policy, pile, k, "pile");
+  ASSERT_GT(inc->tree().num_nodes(), nodes_before);  // split
+  std::vector<bool> live_piled(inc->tree().num_nodes());
+  for (size_t id = 0; id < live_piled.size(); ++id) {
+    live_piled[id] = inc->tree().node(static_cast<int32_t>(id)).live;
+  }
+
+  RepairAndCheck(&*inc, &*policy, back, k, "back");
+  size_t abandoned = 0;  // live after the pile, dead after the way back
+  for (size_t id = 0; id < live_piled.size(); ++id) {
+    if (live_piled[id] && !inc->tree().node(static_cast<int32_t>(id)).live) {
+      ++abandoned;
+    }
+  }
+  EXPECT_GT(abandoned, 0u);
+
+  std::vector<UserMove> mixed;
+  for (uint32_t row = 0; row < 40; row += 2) {
+    mixed.push_back({row, db.row(row).location, corner(row)});
+  }
+  for (uint32_t row = 100; row < 140; ++row) {
+    mixed.push_back({row, db.row(row).location,
+                     Point{63 - static_cast<Coord>(row % 4), 63}});
+  }
+  RepairAndCheck(&*inc, &*policy, mixed, k, "mixed");
+}
+
+TEST(IncrementalOracleTest, MoveInsideOneLeafReordersItsRowsOnly) {
+  // A user moving within its leaf leaves every count and row as it was, so
+  // only the leaf itself is recomputed; the leaf's row order still changes
+  // (swap-pop, then push), and with it which rows the pool order cloaks.
+  Rng rng(28);
+  const MapExtent extent{0, 0, 6};
+  const int k = 5;
+  Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
+      RandomDb(&rng, 300, extent), extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  // The leaf's first row moves to a corner of the leaf; pick a leaf where
+  // that changes the assignment a full extraction yields.
+  auto move_in_leaf = [&](int32_t leaf) {
+    const uint32_t row = inc->tree().LeafRows(leaf).front();
+    const Point from = inc->snapshot().row(row).location;
+    const Rect region = inc->tree().node(leaf).region;
+    const Point to = from == Point{region.x1, region.y1}
+                         ? Point{region.x2 - 1, region.y2 - 1}
+                         : Point{region.x1, region.y1};
+    return UserMove{row, from, to};
+  };
+  int32_t leaf = -1;
+  for (size_t id = 0; id < inc->tree().num_nodes() && leaf < 0; ++id) {
+    const BinaryTree::Node& n = inc->tree().node(static_cast<int32_t>(id));
+    if (!n.live || !n.IsLeaf() || n.count < 2) continue;
+    IncrementalAnonymizer trial = *inc;
+    ASSERT_TRUE(trial.ApplyMoves({move_in_leaf(static_cast<int32_t>(id))})
+                    .ok());
+    Result<ExtractedPolicy> moved = trial.ExtractPolicy();
+    ASSERT_TRUE(moved.ok());
+    if (moved->assignment != policy->assignment) {
+      leaf = static_cast<int32_t>(id);
+    }
+  }
+  ASSERT_GE(leaf, 0);
+  const std::vector<uint32_t> rows_before = inc->tree().LeafRows(leaf);
+  const std::vector<DpRow> matrix_before = inc->matrix().rows;
+  const std::vector<int32_t> assignment_before = policy->assignment;
+
+  Result<size_t> recomputed = inc->ApplyMoves({move_in_leaf(leaf)});
+  ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
+  EXPECT_EQ(*recomputed, 1u);
+  EXPECT_NE(inc->tree().LeafRows(leaf), rows_before);
+  for (size_t id = 0; id < matrix_before.size(); ++id) {
+    EXPECT_EQ(inc->matrix().rows[id].dense, matrix_before[id].dense) << id;
+  }
+  ASSERT_TRUE(inc->UpdatePolicy(&*policy).ok());
+  EXPECT_NE(policy->assignment, assignment_before);
+  ExpectMatchesFromScratch(*inc, *policy, k, "move inside a leaf");
+}
+
+TEST(IncrementalOracleTest, BelowKLeavesThatGainOrLoseAUserStillChange) {
+  // A leaf below k has an empty row whatever its count, so a move between
+  // two such leaves changes no leaf row; it does change d(m), which the
+  // parents' rows read. A cutoff that compared rows alone would keep the
+  // parents' stale rows.
+  Rng rng(29);
+  const MapExtent extent{0, 0, 6};
+  const int k = 5;
+  Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
+      RandomDb(&rng, 400, extent), extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
+  ASSERT_TRUE(policy.ok());
+  const uint32_t kk = static_cast<uint32_t>(k);
+  size_t moves_made = 0;
+  size_t parent_rows_changed = 0;
+  for (uint32_t row = 0; row < inc->snapshot().size() && moves_made < 30;
+       ++row) {
+    const BinaryTree& tree = inc->tree();
+    const Point from = inc->snapshot().row(row).location;
+    const int32_t source = tree.LeafForPoint(from);
+    const int32_t parent = tree.node(source).parent;
+    // Leaves [2, k) lose a user without emptying, parents keep >= k + 1.
+    if (tree.node(source).count < 2 || tree.node(source).count >= kk ||
+        parent < 0 || tree.node(parent).count < kk + 1) {
+      continue;
+    }
+    // The destination: another leaf in [1, k - 1) that stays below k.
+    const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
+                   static_cast<Coord>(rng.NextBounded(extent.side()))};
+    const int32_t dest = tree.LeafForPoint(to);
+    if (dest == source || tree.node(dest).count < 1 ||
+        tree.node(dest).count + 1 >= kk) {
+      continue;
+    }
+    ASSERT_TRUE(inc->matrix().rows[source].dense.empty());
+    ASSERT_TRUE(inc->matrix().rows[dest].dense.empty());
+    const DpRow parent_before = inc->matrix().rows[parent];
+    const std::string label = "move of row " + std::to_string(row);
+    RepairAndCheck(&*inc, &*policy, {UserMove{row, from, to}}, k, label);
+    ASSERT_TRUE(inc->tree().node(source).IsLeaf()) << label;
+    ASSERT_TRUE(inc->matrix().rows[source].dense.empty()) << label;
+    ASSERT_TRUE(inc->matrix().rows[dest].dense.empty()) << label;
+    const DpRow& parent_after = inc->matrix().rows[parent];
+    if (parent_after.dense != parent_before.dense ||
+        parent_after.children_pass != parent_before.children_pass) {
+      ++parent_rows_changed;
+    }
+    ++moves_made;
+  }
+  EXPECT_EQ(moves_made, 30u);
+  EXPECT_GT(parent_rows_changed, 0u);
+}
 
 TEST(IncrementalTest, NoMovesIsANoOp) {
   Rng rng(9);

@@ -234,10 +234,10 @@ TEST(BinaryTreeTest, ApplyMoveKeepsTreeIdenticalToRebuild) {
     const Point from = db.row(row).location;
     const Point to{static_cast<Coord>(rng.NextBounded(extent.side())),
                    static_cast<Coord>(rng.NextBounded(extent.side()))};
-    std::vector<int32_t> dirty;
+    std::vector<BinaryTree::Touch> touched;
     ASSERT_TRUE(db.MoveRow(row, to).ok());
-    ASSERT_TRUE(tree->ApplyMove(row, from, db, &dirty).ok());
-    EXPECT_FALSE(dirty.empty());
+    ASSERT_TRUE(tree->ApplyMove(row, from, db, &touched).ok());
+    EXPECT_FALSE(touched.empty());
   }
   ExpectLeavesPartitionAndCountsConsistent(*tree, db);
 
@@ -258,10 +258,10 @@ TEST(BinaryTreeTest, ApplyMoveValidatesInput) {
   Result<BinaryTree> tree =
       BinaryTree::Build(db, extent, TreeOptions{.split_threshold = 1});
   ASSERT_TRUE(tree.ok());
-  std::vector<int32_t> dirty;
-  EXPECT_FALSE(tree->ApplyMove(7, {1, 1}, db, &dirty).ok());
+  std::vector<BinaryTree::Touch> touched;
+  EXPECT_FALSE(tree->ApplyMove(7, {1, 1}, db, &touched).ok());
   ASSERT_TRUE(db.MoveRow(0, {100, 100}).ok());
-  EXPECT_FALSE(tree->ApplyMove(0, {1, 1}, db, &dirty).ok());
+  EXPECT_FALSE(tree->ApplyMove(0, {1, 1}, db, &touched).ok());
   // A stale `from` is the engine's to catch: IncrementalTest.RejectsStaleMove.
 }
 
