@@ -4,6 +4,7 @@
 // incremental always at or below bulk, converging to bulk around 5% movers.
 
 #include <cstdio>
+#include <string>
 
 #include "bench/bench_util.h"
 #include "common/stats.h"
@@ -19,14 +20,14 @@ int main() {
   using bench_util::PaperScaleOptions;
   using bench_util::Scaled;
 
+  const int k = 50;
+  const size_t users = Scaled(1'000'000);
   bench_util::PrintHeader(
-      "Figure 5(b): incremental maintenance vs bulk recomputation "
-      "(|D| = 1M, k = 50)");
+      "Figure 5(b): incremental maintenance vs bulk recomputation (|D| = " +
+      std::to_string(users) + ", k = " + std::to_string(k) + ")");
   const BayAreaGenerator generator(PaperScaleOptions());
   const LocationDatabase master = generator.GenerateMaster();
-  const int k = 50;
-  const LocationDatabase base =
-      BayAreaGenerator::Sample(master, Scaled(1'000'000), 5);
+  const LocationDatabase base = BayAreaGenerator::Sample(master, users, 5);
 
   obs::Counter& rows_changed =
       obs::MetricsRegistry::Global().GetCounter("incremental/rows_changed");

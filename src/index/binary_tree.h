@@ -24,6 +24,10 @@ namespace pasa {
 /// exactly one leaf. Nodes are lazily materialized (see TreeOptions). It
 /// stores row ids only and reads locations from the snapshot it is handed.
 ///
+/// Each node is the set of points whose interleaved key (x bit above y bit
+/// at each level, from the root's south-west corner) has one prefix, so a
+/// build sorts the keys once and cuts each node's run of them at one bit.
+///
 /// The structure is mutable to support incremental maintenance across
 /// location-database snapshots (Section IV "Incremental Maintenance"):
 /// ApplyMove relocates one user, splitting or collapsing nodes as occupancy
@@ -61,7 +65,9 @@ class BinaryTree {
   /// square map — the shape a parallel-anonymization jurisdiction takes when
   /// the greedy partitioner hands a semi-quadrant node to a server
   /// (Section V "Parallel Anonymization"). All locations must lie inside
-  /// `root_region`.
+  /// `root_region`, whose sides must be powers of two in the shape of
+  /// `root_kind` (square, or twice as tall or as wide); every tree node's
+  /// region qualifies.
   static Result<BinaryTree> BuildRooted(const LocationDatabase& db,
                                         const Rect& root_region,
                                         NodeKind root_kind,
@@ -152,23 +158,23 @@ class BinaryTree {
 
   /// True if `id` may be split further (capacity, depth, and geometry).
   bool CanSplit(int32_t id) const;
+  /// Materializes the two (empty, zero-count) children of leaf `id`, its
+  /// west/east halves if `halves_x`, else its south/north halves; returns
+  /// the first child's id.
+  int32_t AddChildren(int32_t id, bool halves_x);
   /// Materializes the two children of leaf `id` and distributes its rows
-  /// by their current locations in `db`.
+  /// by their current locations in `db` (a kAdaptive square reads them
+  /// first to pick the better-balanced cut).
   void SplitLeaf(int32_t id, const LocationDatabase& db);
+  /// Builds everything below the root from one sort of the rows by their
+  /// trie keys (`key_bits` wide), with `Entries` as the sort's entry layout.
+  template <typename Entries>
+  void GrowTrie(const LocationDatabase& db, const Entries& entries,
+                int key_bits);
   /// Turns internal node `id` back into a leaf, gathering descendant rows;
   /// appends every node it abandons to `touched`.
   void Collapse(int32_t id, std::vector<Touch>* touched);
   void GatherRows(int32_t id, std::vector<uint32_t>* out) const;
-  /// Geometry of one split: the two child regions and their kind.
-  struct SplitPlan {
-    Rect first;
-    Rect second;
-    NodeKind child_kind = NodeKind::kSquare;
-  };
-  /// Decides the split of node `id` (for squares under kAdaptive this
-  /// inspects the resident points and picks the better-balanced cut;
-  /// deterministic in the point multiset).
-  SplitPlan PlanSplit(int32_t id, const LocationDatabase& db) const;
 
   MapExtent extent_;
   TreeOptions options_;

@@ -4,20 +4,6 @@
 #include <cassert>
 
 namespace pasa {
-namespace {
-
-// Spreads the low 32 bits of x so bit i lands at position 2i.
-uint64_t Part1By1(uint64_t x) {
-  x &= 0xffffffffULL;
-  x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
-  x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
-  x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
-  x = (x | (x << 2)) & 0x3333333333333333ULL;
-  x = (x | (x << 1)) & 0x5555555555555555ULL;
-  return x;
-}
-
-}  // namespace
 
 Result<MapExtent> MapExtent::Covering(const Rect& bbox) {
   if (bbox.width() <= 0 || bbox.height() <= 0) {

@@ -11,6 +11,18 @@
 
 namespace pasa {
 
+/// Spreads the low 32 bits of x so bit i lands at position 2i: one
+/// coordinate's half of an interleaved (Morton) key.
+inline uint64_t Part1By1(uint64_t x) {
+  x &= 0xffffffffULL;
+  x = (x | (x << 16)) & 0x0000ffff0000ffffULL;
+  x = (x | (x << 8)) & 0x00ff00ff00ff00ffULL;
+  x = (x | (x << 4)) & 0x0f0f0f0f0f0f0f0fULL;
+  x = (x | (x << 2)) & 0x3333333333333333ULL;
+  x = (x | (x << 1)) & 0x5555555555555555ULL;
+  return x;
+}
+
 /// The square, power-of-two-sided region a quad tree partitions ("the map").
 /// All quadrants of the static quad-tree partition are addressable as Morton
 /// key ranges over this extent.

@@ -153,8 +153,7 @@ Status Extract(const BinaryTree& tree, const DpMatrix& matrix, int k,
       if (end + rows.size() > pool.size()) {
         pool.resize(std::max(2 * pool.size(), end + rows.size()));
       }
-      std::memcpy(pool.data() + end, rows.data(),
-                  rows.size() * sizeof(uint32_t));
+      std::copy(rows.begin(), rows.end(), pool.begin() + end);
       end += rows.size();
     } else if (!self(self, n.first_child) ||
                !self(self, n.first_child + 1)) {
@@ -166,8 +165,10 @@ Status Extract(const BinaryTree& tree, const DpMatrix& matrix, int k,
     for (size_t i = start; i < start + cloaked; ++i) {
       out->assignment[pool[i]] = id;
     }
-    std::memmove(pool.data() + start, pool.data() + start + cloaked,
-                 u * sizeof(uint32_t));
+    if (cloaked > 0) {  // an empty pool's data() may be null
+      std::memmove(pool.data() + start, pool.data() + start + cloaked,
+                   u * sizeof(uint32_t));
+    }
     end = start + u;
     return true;
   };

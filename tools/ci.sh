@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI driver: release build + full ctest (plus the pasa_bench smoke
 # and stream-digest ctests against the release server), an AddressSanitizer
-# build + full ctest (both followed by a bounded state-space-explorer leg
+# + UndefinedBehaviorSanitizer build (any UB report aborts its test) + full
+# ctest (both followed by a bounded state-space-explorer leg
 # that must cover its instance exhaustively with zero invariant violations
 # and reproduce the committed golden counterexample), a ThreadSanitizer
 # build running the concurrency suites with a widened chaos seed sweep
@@ -83,9 +84,10 @@ else
 fi
 
 if [[ "${PASA_CI_SKIP_ASAN:-0}" != "1" ]]; then
-  step "asan build + tests (${prefix}-asan)"
+  step "asan+ubsan build + tests (${prefix}-asan)"
   cmake -B "${prefix}-asan" -S . -DCMAKE_BUILD_TYPE=Debug \
-        -DPASA_SANITIZE=address
+        -DPASA_SANITIZE=address,undefined \
+        -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
   cmake --build "${prefix}-asan" -j "${jobs}"
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
   step "state-space explorer leg (asan)"
