@@ -7,6 +7,12 @@
 // regression, so a change that silently doubles a structure's footprint
 // fails CI the same way a 2x slowdown would.
 //
+// The sweep snapshots a freshly started server, so its answer cache is
+// empty. A fixed, seeded request stream is then served through
+// CspServer::HandleRequest and the populated cache is reported as
+// lbs/answer_cache_served: half the requests repeat a (cloak, category) key,
+// half carry a unique token as cold traffic does.
+//
 // Measurement keys are absolute (not PASA_BENCH_SCALE-scaled) so snapshots
 // stay comparable across hosts; memory is deterministic per seed. Set
 // PASA_FOOTPRINT_MAX=<users> to cap the sweep on constrained hosts —
@@ -33,6 +39,25 @@ namespace {
 using namespace pasa;
 
 constexpr size_t kSweep[] = {10'000, 100'000, 1'000'000};
+
+/// Serves |D|/10 requests from seeded senders; every other one carries a
+/// unique 16-hex token. Returns the answer cache's bytes afterwards.
+uint64_t ServedAnswerCacheBytes(CspServer& csp, const LocationDatabase& db) {
+  Rng rng(11);
+  const size_t requests = db.size() / 10;
+  for (size_t i = 0; i < requests; ++i) {
+    const UserLocation& row = db.row(rng.NextBounded(db.size()));
+    ServiceRequest sr{row.user, row.location, {{"poi", "poi"}}};
+    if (i % 2 == 1) {
+      char token[17];
+      std::snprintf(token, sizeof(token), "%016llx",
+                    static_cast<unsigned long long>(rng.Next()));
+      sr.params.push_back({"q", token});
+    }
+    csp.HandleRequest(sr).ok();
+  }
+  return csp.frontend().cache().ApproxBytes();
+}
 
 std::string KeyPrefix(size_t users) {
   return "footprint/d" + std::to_string(users) + "/";
@@ -109,6 +134,8 @@ int main(int argc, char** argv) {
     for (const auto& [name, bytes] : snapshot) {
       run[prefix + name] = static_cast<double>(bytes);
     }
+    run[prefix + "lbs/answer_cache_served"] =
+        static_cast<double>(ServedAnswerCacheBytes(*csp, db));
     const double mib = 1024.0 * 1024.0;
     table.AddRow({std::to_string(users),
                   TablePrinter::Cell(total / mib, 1),

@@ -2,6 +2,7 @@
 #define PASA_LBS_PROVIDER_H_
 
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -66,6 +67,63 @@ class LbsProvider : public LbsBackend {
   mutable std::atomic<size_t> requests_seen_{0};
 };
 
+/// The answer cache of the serving path: AnswerCache keyed as always, but
+/// each answer is stored as an (offset, count) run in one arena of POI
+/// record ids, and each distinct POI (id, location, category) is stored
+/// once per cache period as a fixed-width record with an interned category
+/// id. Flush drops all of it.
+class PoiAnswerCache {
+ public:
+  /// An answer: `count` record ids starting at `offset` in the id arena.
+  struct Slice {
+    uint32_t offset = 0;
+    uint32_t count = 0;
+  };
+  using Stats = AnswerCache<Slice>::Stats;
+
+  const Slice* Lookup(const AnonymizedRequest& ar) {
+    return index_.Lookup(ar);
+  }
+  const Slice* FindStaleFallback(const AnonymizedRequest& ar) {
+    return index_.FindStaleFallback(ar);
+  }
+  /// Stores a freshly fetched (and therefore billable) answer.
+  void Put(const AnonymizedRequest& ar,
+           const std::vector<PointOfInterest>& pois);
+  /// The answer `slice` names, as the provider returned it.
+  std::vector<PointOfInterest> Materialize(const Slice& slice) const;
+
+  /// Drops every entry and POI record; returns the billable request count
+  /// since the previous flush (AnswerCache::Flush).
+  size_t Flush();
+
+  size_t size() const { return index_.size(); }
+  const Stats& stats() const { return index_.stats(); }
+  std::vector<std::string> SortedKeys() const { return index_.SortedKeys(); }
+
+  /// Heap bytes held: the keyed table and params arena, the POI record
+  /// table with its index and category arena, and the id arena.
+  uint64_t ApproxBytes() const;
+
+ private:
+  struct PoiRecord {
+    int64_t id = 0;
+    Coord x = 0;
+    Coord y = 0;
+    uint32_t category = 0;
+  };
+
+  uint32_t InternCategory(const std::string& category);
+  uint32_t InternPoi(const PointOfInterest& poi);
+  static uint64_t RecordHash(const PoiRecord& r);
+
+  AnswerCache<Slice> index_;
+  answer_cache_internal::ByteInterner categories_;
+  std::vector<PoiRecord> records_;
+  answer_cache_internal::FlatIndex record_index_;
+  std::vector<uint32_t> ids_;
+};
+
 /// The trusted CSP front half of the Section VII architecture: forwards
 /// anonymized requests to the LBS backend through the answer cache and the
 /// resilience layer, so duplicates never leave the CSP and a flaky provider
@@ -99,20 +157,15 @@ class CachingLbsFrontend {
   const LbsProvider& provider() const { return *provider_; }
   const ResilientLbsClient& client() const { return client_; }
   /// The answer cache itself (read-only), for canonical state digests.
-  const AnswerCache<std::vector<PointOfInterest>>& cache() const {
-    return cache_;
-  }
-  const AnswerCache<std::vector<PointOfInterest>>::Stats& cache_stats()
-      const {
-    return cache_.stats();
-  }
+  const PoiAnswerCache& cache() const { return cache_; }
+  const PoiAnswerCache::Stats& cache_stats() const { return cache_.stats(); }
 
  private:
   /// unique_ptr keeps the backend address stable for the client when the
   /// frontend itself is moved.
   std::unique_ptr<LbsProvider> provider_;
   ResilientLbsClient client_;
-  AnswerCache<std::vector<PointOfInterest>> cache_;
+  PoiAnswerCache cache_;
 };
 
 }  // namespace pasa

@@ -831,7 +831,7 @@ void NetServer::Dispatch(const Pending& pending) {
         msg.cloak_y1 = receipt.cloak.y1;
         msg.cloak_x2 = receipt.cloak.x2;
         msg.cloak_y2 = receipt.cloak.y2;
-        msg.pois = answer->pois;
+        msg.pois = std::move(answer->pois);
         response_type = MsgType::kServeResponse;
         payload = EncodeServeResponse(msg);
         break;

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <unordered_map>
+
 #include "common/rng.h"
 #include "fault/injector.h"
 #include "lbs/answer_cache.h"
@@ -155,6 +158,305 @@ TEST(AnswerCacheTest, StaleFallbackPrefersLargestOverlapSameParams) {
   const int* disjoint =
       cache.FindStaleFallback({9, {100, 100, 110, 110}, {{"poi", "rest"}}});
   EXPECT_EQ(disjoint, nullptr);
+}
+
+TEST(AnswerCacheTest, ParamVectorsThatJoinToTheSameStringAreDistinct) {
+  // Each pair joins to one '|'-separated "name=value" string.
+  const std::vector<std::pair<ParamVector, ParamVector>> pairs = {
+      {{{"poi", "rest|q=1"}}, {{"poi", "rest"}, {"q", "1"}}},
+      {{{"a=b", "c"}}, {{"a", "b=c"}}},
+      {{{"poi", "rest|"}}, {{"poi", "rest"}, {"", ""}}},
+  };
+  for (const auto& [first, second] : pairs) {
+    AnswerCache<int> cache;
+    const Rect cloak{0, 0, 4, 4};
+    cache.Put({1, cloak, first}, 1);
+    EXPECT_EQ(cache.Lookup({2, cloak, second}), nullptr);
+    EXPECT_EQ(cache.FindStaleFallback({3, cloak, second}), nullptr);
+    EXPECT_EQ(cache.stats().stale_serves, 0u);
+    EXPECT_EQ(cache.size(), 1u);
+
+    cache.Put({4, cloak, second}, 2);
+    EXPECT_EQ(cache.size(), 2u);
+    ASSERT_NE(cache.Lookup({5, cloak, first}), nullptr);
+    EXPECT_EQ(*cache.Lookup({5, cloak, first}), 1);
+    EXPECT_EQ(*cache.Lookup({6, cloak, second}), 2);
+    EXPECT_EQ(*cache.FindStaleFallback({7, cloak, first}), 1);
+    EXPECT_EQ(*cache.FindStaleFallback({8, cloak, second}), 2);
+    const std::vector<std::string> keys = cache.SortedKeys();
+    ASSERT_EQ(keys.size(), 2u);
+    EXPECT_NE(keys[0], keys[1]);
+  }
+}
+
+TEST(AnswerCacheTest, StaleFallbackVisitsOnlyItsOwnParams) {
+  // 10^5 entries: 1000 parameter vectors x 100 cloaks along a diagonal.
+  AnswerCache<int> cache;
+  constexpr int kParams = 1000;
+  constexpr int kCloaks = 100;
+  for (int p = 0; p < kParams; ++p) {
+    const ParamVector params = {{"poi", std::to_string(p)}};
+    for (int c = 0; c < kCloaks; ++c) {
+      cache.Put({0, {8 * c, 8 * c, 8 * c + 16, 8 * c + 16}, params},
+                p * kCloaks + c);
+    }
+  }
+  ASSERT_EQ(cache.size(), static_cast<size_t>(kParams * kCloaks));
+
+  // {82,82,94,94} overlaps cloak 9 ({72..88}) by 6x6, cloak 10 ({80..96})
+  // by 12x12 and cloak 11 ({88..104}) by 6x6: cloak 10 wins.
+  const int* stale =
+      cache.FindStaleFallback({1, {82, 82, 94, 94}, {{"poi", "417"}}});
+  ASSERT_NE(stale, nullptr);
+  EXPECT_EQ(*stale, 417 * kCloaks + 10);
+  EXPECT_EQ(cache.stats().fallback_visits, static_cast<size_t>(kCloaks));
+
+  // Parameters never cached: nothing is visited.
+  EXPECT_EQ(cache.FindStaleFallback({2, {82, 82, 94, 94}, {{"poi", "x"}}}),
+            nullptr);
+  EXPECT_EQ(cache.stats().fallback_visits, static_cast<size_t>(kCloaks));
+}
+
+TEST(AnswerCacheTest, EmptyCacheHoldsNoHeapAndFlushReleasesAll) {
+  AnswerCache<int> cache;
+  EXPECT_EQ(cache.ApproxBytes(), 0u);
+  cache.Put({1, {0, 0, 4, 4}, {{"poi", "rest"}}}, 1);
+  EXPECT_GT(cache.ApproxBytes(), 0u);
+  cache.Flush();
+  EXPECT_EQ(cache.ApproxBytes(), 0u);
+
+  PoiAnswerCache pois;
+  EXPECT_EQ(pois.ApproxBytes(), 0u);
+  pois.Put({1, {0, 0, 4, 4}, {{"poi", "rest"}}}, {{1, {1, 1}, "rest"}});
+  EXPECT_GT(pois.ApproxBytes(), 0u);
+  EXPECT_EQ(pois.Flush(), 1u);
+  EXPECT_EQ(pois.ApproxBytes(), 0u);
+  EXPECT_EQ(pois.size(), 0u);
+}
+
+TEST(PoiAnswerCacheTest, ColdEntriesAccountAtMost200BytesEach) {
+  // cold_lbs-style traffic: every request carries a fresh 16-hex token, so
+  // every request is its own entry; 10 POIs each from a 512-POI set.
+  Rng rng(5);
+  const std::vector<PointOfInterest> pool = RandomPois(&rng, 512, 1 << 16);
+  PoiAnswerCache cache;
+  constexpr size_t kEntries = 100'000;
+  std::vector<PointOfInterest> answer(10);
+  for (size_t i = 0; i < kEntries; ++i) {
+    const Coord x = static_cast<Coord>(rng.NextBounded(256)) * 256;
+    const Coord y = static_cast<Coord>(rng.NextBounded(256)) * 256;
+    char token[17];
+    std::snprintf(token, sizeof(token), "%016llx",
+                  static_cast<unsigned long long>(rng.Next()));
+    for (PointOfInterest& poi : answer) {
+      poi = pool[rng.NextBounded(pool.size())];
+    }
+    cache.Put({static_cast<RequestId>(i), {x, y, x + 256, y + 256},
+               {{"poi", "rest"}, {"q", token}}},
+              answer);
+  }
+  ASSERT_EQ(cache.size(), kEntries);
+  const double per_entry = static_cast<double>(cache.ApproxBytes()) /
+                           static_cast<double>(kEntries);
+  EXPECT_LE(per_entry, 200.0);
+}
+
+namespace oracle {
+
+// The string-keyed answer cache the flat table replaced, kept as the
+// reference the differential test compares against: one unordered_map from
+// cloak.ToString() + '|'-joined "name=value" params to the answer. Its
+// keys collide for params containing '|' or '=', so the streams below
+// draw params free of both.
+template <typename Answer>
+class StringKeyedAnswerCache {
+ public:
+  using Stats = typename AnswerCache<Answer>::Stats;
+
+  const Answer* Lookup(const AnonymizedRequest& ar) {
+    const auto it = cache_.find(KeyOf(ar));
+    if (it == cache_.end()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    ++stats_.billable_since_flush;
+    return &it->second.answer;
+  }
+
+  const Answer& Put(const AnonymizedRequest& ar, Answer answer) {
+    ++stats_.billable_since_flush;
+    Entry entry{ar.cloak, ParamsKeyOf(ar), std::move(answer)};
+    return cache_.insert_or_assign(KeyOf(ar), std::move(entry))
+        .first->second.answer;
+  }
+
+  const Answer* FindStaleFallback(const AnonymizedRequest& ar) {
+    const std::string params = ParamsKeyOf(ar);
+    const Entry* best = nullptr;
+    const std::string* best_key = nullptr;
+    int64_t best_overlap = 0;
+    for (const auto& [key, entry] : cache_) {
+      if (entry.params != params || !entry.cloak.Intersects(ar.cloak)) {
+        continue;
+      }
+      const int64_t w = std::min(entry.cloak.x2, ar.cloak.x2) -
+                        std::max(entry.cloak.x1, ar.cloak.x1);
+      const int64_t h = std::min(entry.cloak.y2, ar.cloak.y2) -
+                        std::max(entry.cloak.y1, ar.cloak.y1);
+      const int64_t overlap = w * h;
+      if (best == nullptr || overlap > best_overlap ||
+          (overlap == best_overlap && key < *best_key)) {
+        best = &entry;
+        best_key = &key;
+        best_overlap = overlap;
+      }
+    }
+    if (best == nullptr) return nullptr;
+    ++stats_.stale_serves;
+    ++stats_.billable_since_flush;
+    return &best->answer;
+  }
+
+  size_t Flush() {
+    cache_.clear();
+    ++stats_.flushes;
+    const size_t billable = stats_.billable_since_flush;
+    stats_.billable_since_flush = 0;
+    return billable;
+  }
+
+  size_t size() const { return cache_.size(); }
+  const Stats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    Rect cloak;
+    std::string params;
+    Answer answer;
+  };
+
+  static std::string ParamsKeyOf(const AnonymizedRequest& ar) {
+    std::string key;
+    for (const NameValue& nv : ar.params) {
+      key += '|';
+      key += nv.name;
+      key += '=';
+      key += nv.value;
+    }
+    return key;
+  }
+
+  static std::string KeyOf(const AnonymizedRequest& ar) {
+    return ar.cloak.ToString() + ParamsKeyOf(ar);
+  }
+
+  std::unordered_map<std::string, Entry> cache_;
+  Stats stats_;
+};
+
+}  // namespace oracle
+
+// Overlapping power-of-two squares on a small map, so equal-overlap ties
+// are common; params from a small alphabet free of '|' and '='.
+AnonymizedRequest RandomRequest(Rng* rng, RequestId rid) {
+  const Coord side = Coord{4} << rng->NextBounded(3);
+  const Coord x = static_cast<Coord>(rng->NextBounded(16)) * 4;
+  const Coord y = static_cast<Coord>(rng->NextBounded(16)) * 4;
+  static const char* const kNames[] = {"poi", "q", "cat"};
+  static const char* const kValues[] = {"rest", "gas", "a", "ab", ""};
+  ParamVector params;
+  const size_t n = rng->NextBounded(3);
+  for (size_t i = 0; i < n; ++i) {
+    params.push_back({kNames[rng->NextBounded(3)],
+                      kValues[rng->NextBounded(5)]});
+  }
+  return AnonymizedRequest{rid, {x, y, x + side, y + side}, params};
+}
+
+template <typename Got, typename Want>
+void ExpectSameStats(const Got& got, const Want& want) {
+  EXPECT_EQ(got.hits, want.hits);
+  EXPECT_EQ(got.misses, want.misses);
+  EXPECT_EQ(got.flushes, want.flushes);
+  EXPECT_EQ(got.stale_serves, want.stale_serves);
+  EXPECT_EQ(got.billable_since_flush, want.billable_since_flush);
+}
+
+TEST(AnswerCacheOracleTest, MatchesStringKeyedCacheOnRandomStreams) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    AnswerCache<int> cache;
+    oracle::StringKeyedAnswerCache<int> reference;
+    int next_answer = 0;
+    for (int step = 0; step < 3000; ++step) {
+      if (rng.NextBounded(200) == 0) {
+        ASSERT_EQ(cache.Flush(), reference.Flush());
+        continue;
+      }
+      const AnonymizedRequest ar = RandomRequest(&rng, step);
+      const int* got = cache.Lookup(ar);
+      const int* want = reference.Lookup(ar);
+      ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+      if (got != nullptr) {
+        ASSERT_EQ(*got, *want) << "step " << step;
+      } else if (rng.NextBounded(3) == 0) {
+        // The provider is down: both must pick the same fallback.
+        const int* stale = cache.FindStaleFallback(ar);
+        const int* stale_want = reference.FindStaleFallback(ar);
+        ASSERT_EQ(stale == nullptr, stale_want == nullptr) << "step " << step;
+        if (stale != nullptr) {
+          ASSERT_EQ(*stale, *stale_want) << "step " << step;
+        }
+      } else {
+        ++next_answer;
+        ASSERT_EQ(cache.Put(ar, next_answer), reference.Put(ar, next_answer));
+      }
+      ASSERT_EQ(cache.size(), reference.size());
+      ExpectSameStats(cache.stats(), reference.stats());
+    }
+  }
+}
+
+TEST(AnswerCacheOracleTest, PoiAnswersMatchStringKeyedCache) {
+  Rng rng(7);
+  // Some POIs share an id but differ in place or category: each is its
+  // own record.
+  std::vector<PointOfInterest> pool = RandomPois(&rng, 40, 100);
+  pool.push_back({3, {5, 5}, "gas"});
+  pool.push_back({3, {6, 5}, "rest"});
+  PoiAnswerCache cache;
+  oracle::StringKeyedAnswerCache<std::vector<PointOfInterest>> reference;
+  for (int step = 0; step < 5000; ++step) {
+    if (rng.NextBounded(300) == 0) {
+      ASSERT_EQ(cache.Flush(), reference.Flush());
+      continue;
+    }
+    const AnonymizedRequest ar = RandomRequest(&rng, step);
+    const PoiAnswerCache::Slice* got = cache.Lookup(ar);
+    const std::vector<PointOfInterest>* want = reference.Lookup(ar);
+    ASSERT_EQ(got == nullptr, want == nullptr) << "step " << step;
+    if (got != nullptr) {
+      ASSERT_EQ(cache.Materialize(*got), *want) << "step " << step;
+    } else if (rng.NextBounded(3) == 0) {
+      const PoiAnswerCache::Slice* stale = cache.FindStaleFallback(ar);
+      const std::vector<PointOfInterest>* stale_want =
+          reference.FindStaleFallback(ar);
+      ASSERT_EQ(stale == nullptr, stale_want == nullptr) << "step " << step;
+      if (stale != nullptr) {
+        ASSERT_EQ(cache.Materialize(*stale), *stale_want) << "step " << step;
+      }
+    } else {
+      std::vector<PointOfInterest> answer(rng.NextBounded(6));
+      for (PointOfInterest& poi : answer) {
+        poi = pool[rng.NextBounded(pool.size())];
+      }
+      cache.Put(ar, answer);
+      reference.Put(ar, answer);
+    }
+    ASSERT_EQ(cache.size(), reference.size());
+    ExpectSameStats(cache.stats(), reference.stats());
+  }
 }
 
 // An LbsBackend that fails its first `fail_first` fetches with kUnavailable.
