@@ -15,7 +15,7 @@
 namespace pasa {
 
 CspServer::CspServer(CspOptions options, IncrementalAnonymizer engine,
-                     ExtractedPolicy policy, PoiDatabase pois)
+                     PoiDatabase pois)
     : options_(options),
       served_counter_(obs::MetricsRegistry::Global().GetCounter(
           "csp/requests_served")),
@@ -26,7 +26,6 @@ CspServer::CspServer(CspOptions options, IncrementalAnonymizer engine,
       rejected_counter_(obs::MetricsRegistry::Global().GetCounter(
           "csp/requests_rejected")),
       engine_(std::make_unique<IncrementalAnonymizer>(std::move(engine))),
-      policy_(std::move(policy)),
       frontend_(std::make_unique<CachingLbsFrontend>(
           LbsProvider(std::move(pois), options.answers_per_request),
           options.resilience)) {
@@ -42,7 +41,6 @@ CspServer::CspServer(const CspServer& other)
       failed_counter_(other.failed_counter_),
       rejected_counter_(other.rejected_counter_),
       engine_(std::make_unique<IncrementalAnonymizer>(*other.engine_)),
-      policy_(other.policy_),
       frontend_(std::make_unique<CachingLbsFrontend>(*other.frontend_)),
       next_rid_(other.next_rid_),
       stats_(other.stats_) {}
@@ -54,13 +52,11 @@ Result<CspServer> CspServer::Start(LocationDatabase initial_snapshot,
   Result<IncrementalAnonymizer> engine = IncrementalAnonymizer::Build(
       std::move(initial_snapshot), extent, options.k, options.dp);
   if (!engine.ok()) return engine.status();
-  Result<ExtractedPolicy> policy = [&] {
+  {
     obs::ScopedSpan extract_span("extract_policy");
-    return engine->ExtractPolicy();
-  }();
-  if (!policy.ok()) return policy.status();
-  return CspServer(options, std::move(*engine), std::move(*policy),
-                   std::move(pois));
+    if (Status s = engine->RefreshPolicy(); !s.ok()) return s;
+  }
+  return CspServer(options, std::move(*engine), std::move(pois));
 }
 
 Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
@@ -99,7 +95,7 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
   }
   if (receipt != nullptr) {
     receipt->rid = ar->rid;
-    receipt->group_size = policy_.GroupSize(engine_->tree(), node);
+    receipt->group_size = engine_->policy().GroupSize(engine_->tree(), node);
     receipt->cloak = ar->cloak;
     receipt->degraded = answer->degraded;
   }
@@ -109,10 +105,11 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
 Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
                                                   int32_t* node) {
   obs::ProvenanceRecord* p = obs::CurrentProvenance();
+  const ExtractedPolicy& policy = engine_->policy();
   const Result<size_t> row = ValidSenderRow(sr, engine_->snapshot());
   // An empty assignment means a failed advance dropped the policy: no
   // request is valid until the next advance extracts one again.
-  if (!row.ok() || *row >= policy_.assignment.size()) {
+  if (!row.ok() || *row >= policy.assignment.size()) {
     ++stats_.requests_rejected;
     rejected_counter_.Increment();
     obs::LogDebug("csp", "rejected request from user %lld (stale or unknown)",
@@ -127,10 +124,10 @@ Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
     }
     return rejected;
   }
-  *node = policy_.assignment[*row];
+  *node = policy.assignment[*row];
   const RequestId rid = next_rid_++;
   if (p != nullptr) {
-    AnnotateCloakDecision(engine_->tree(), policy_, options_.k, *node, rid,
+    AnnotateCloakDecision(engine_->tree(), policy, options_.k, *node, rid,
                           sr.sender, p);
     // Cloaked; HandleRequest overrides this with how the LBS hop went.
     p->outcome = obs::RequestOutcome::kServed;
@@ -144,16 +141,9 @@ Result<AnonymizedRequest> CspServer::Cloak(const ServiceRequest& sr,
   int32_t node = -1;
   Result<AnonymizedRequest> ar = CloakRequest(sr, &node);
   if (ar.ok() && group_size != nullptr) {
-    *group_size = policy_.GroupSize(engine_->tree(), node);
+    *group_size = engine_->policy().GroupSize(engine_->tree(), node);
   }
   return ar;
-}
-
-Status CspServer::RefreshPolicy() {
-  obs::ScopedSpan span("refresh_policy");
-  Status s = engine_->UpdatePolicy(&policy_);
-  if (!s.ok()) policy_ = ExtractedPolicy{};
-  return s;
 }
 
 Result<SnapshotReport> CspServer::AdvanceSnapshot(
@@ -270,11 +260,9 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
     }
   }
   if (need_rebuild) {
+    // A failed Rebuild leaves the engine's policy empty.
     Status s = engine_->Rebuild(accepted);
     if (!s.ok()) {
-      // A failed repair may have reshaped the tree under the current
-      // assignment; drop the policy rather than serve cloaks from it.
-      policy_ = ExtractedPolicy{};
       obs::LogError("csp", "snapshot rebuild failed: %s",
                     s.ToString().c_str());
       return s;
@@ -288,12 +276,15 @@ Result<SnapshotReport> CspServer::AdvanceSnapshot(
       .Increment(accepted.size());
   obs::TraceCounter("csp/moves_applied",
                     static_cast<double>(accepted.size()));
-  Status s = RefreshPolicy();
+  Status s = [&] {
+    obs::ScopedSpan refresh_span("refresh_policy");
+    return engine_->RefreshPolicy();  // empties the policy on failure
+  }();
   if (!s.ok()) {
     obs::LogWarn("csp", "policy refresh failed: %s", s.ToString().c_str());
     return s;
   }
-  report.policy_cost = policy_.cost;
+  report.policy_cost = engine_->policy().cost;
   ++stats_.snapshots_advanced;
   obs::LogDebug("csp",
                 "snapshot advanced: %zu moves (%zu quarantined), %s, %zu dp "
@@ -316,7 +307,7 @@ void CspServer::ReportMemory(obs::MemoryAccountant& accountant) const {
       .Set(engine_->tree().ApproxBytes());
   accountant.GetCounter("csp/config_matrix")
       .Set(engine_->matrix().ApproxBytes());
-  accountant.GetCounter("csp/policy").Set(policy_.ApproxBytes());
+  accountant.GetCounter("csp/policy").Set(engine_->policy().ApproxBytes());
   accountant.GetCounter("csp/user_index").Set(snapshot.IndexApproxBytes());
   accountant.GetCounter("lbs/answer_cache")
       .Set(frontend_->cache().ApproxBytes());

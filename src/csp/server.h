@@ -80,16 +80,19 @@ class CspServer {
 
   const CspOptions& options() const { return options_; }
   const LocationDatabase& snapshot() const { return engine_->snapshot(); }
-  Cost policy_cost() const { return policy_.cost; }
+  Cost policy_cost() const { return engine_->policy().cost; }
   /// The policy tree the current policy was extracted from.
   const BinaryTree& tree() const { return engine_->tree(); }
   /// The current policy as extracted from tree(): its configuration, its
   /// cost and the cloaking tree node of every snapshot row; row r is served
-  /// `tree().node(extracted_policy().assignment[r]).region`.
-  const ExtractedPolicy& extracted_policy() const { return policy_; }
+  /// `tree().node(extracted_policy().assignment[r]).region`. Empty after a
+  /// failed advance, until the next successful one.
+  const ExtractedPolicy& extracted_policy() const { return engine_->policy(); }
   /// The per-row cloaks of the current policy, materialized from the tree
   /// on each call (for audits and exports; serving reads the tree).
-  CloakingTable policy() const { return policy_.Table(engine_->tree()); }
+  CloakingTable policy() const {
+    return engine_->policy().Table(engine_->tree());
+  }
   /// The configuration matrix the current policy was extracted from.
   const DpMatrix& matrix() const { return engine_->matrix(); }
 
@@ -171,7 +174,7 @@ class CspServer {
 
  private:
   CspServer(CspOptions options, IncrementalAnonymizer engine,
-            ExtractedPolicy policy, PoiDatabase pois);
+            PoiDatabase pois);
 
   /// Validates `sr` against the snapshot and cloaks it under the current
   /// policy, setting `*node` to the cloaking tree node. An invalid request
@@ -181,13 +184,6 @@ class CspServer {
   Result<AnonymizedRequest> CloakRequest(const ServiceRequest& sr,
                                          int32_t* node);
 
-  /// Brings policy_ up to date with the engine (UpdatePolicy): right after
-  /// a successful repair only what the repair changed is re-walked; at a
-  /// rebuild, a repair fallback or after a failed refresh (policy_ empty)
-  /// the extraction is full. On failure policy_ is emptied: a half-updated
-  /// policy is never served.
-  Status RefreshPolicy();
-
   CspOptions options_;
   /// Request-outcome counters, resolved once at construction so the serving
   /// hot path never takes the registry mutex.
@@ -195,12 +191,10 @@ class CspServer {
   obs::Counter& degraded_counter_;
   obs::Counter& failed_counter_;
   obs::Counter& rejected_counter_;
+  /// The snapshot, tree, matrix and the policy served from them; an
+  /// advance that fails leaves that policy empty, so no cloak is ever read
+  /// from another tree.
   std::unique_ptr<IncrementalAnonymizer> engine_;
-  /// Extracted from engine_'s tree; emptied when an advance fails after
-  /// touching the tree, so no cloak is ever read from another tree. Between
-  /// a repair and RefreshPolicy it is the policy of the tree as it was
-  /// before the repair, which UpdatePolicy requires.
-  ExtractedPolicy policy_;
   std::unique_ptr<CachingLbsFrontend> frontend_;
   RequestId next_rid_ = 1;
   Stats stats_;

@@ -1,9 +1,9 @@
 #include "fault/plan.h"
 
 #include <cmath>
-#include <fstream>
 #include <sstream>
 
+#include "common/file.h"
 #include "obs/json.h"
 
 namespace pasa {
@@ -136,13 +136,9 @@ Result<FaultPlan> FaultPlan::FromJson(std::string_view text) {
 }
 
 Result<FaultPlan> FaultPlan::FromJsonFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open fault plan " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  return FromJson(content.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return FromJson(*text);
 }
 
 }  // namespace fault

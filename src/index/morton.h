@@ -53,7 +53,6 @@ struct QuadPath {
   QuadPath Child(int q) const {
     return QuadPath{(prefix << 2) | static_cast<uint64_t>(q), depth + 1};
   }
-  QuadPath Parent() const { return QuadPath{prefix >> 2, depth - 1}; }
 
   friend bool operator==(const QuadPath& a, const QuadPath& b) = default;
 };

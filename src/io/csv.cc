@@ -1,17 +1,14 @@
 #include "io/csv.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <memory>
 #include <string_view>
 #include <vector>
 
+#include "common/file.h"
 #include "obs/trace.h"
 
 namespace pasa {
@@ -116,37 +113,6 @@ void AppendRow(std::string* out, const int64_t (&values)[N]) {
     *p++ = f + 1 < N ? ',' : '\n';
   }
   out->append(line, p);
-}
-
-struct FileCloser {
-  void operator()(std::FILE* file) const { std::fclose(file); }
-};
-
-// Reads the whole file with one read sized by the file (a pipe, or a file
-// that grows meanwhile, is read on until end of file).
-Result<std::string> ReadFile(const std::string& path) {
-  const std::unique_ptr<std::FILE, FileCloser> file(
-      std::fopen(path.c_str(), "rb"));
-  if (file == nullptr) return Status::NotFound("cannot open " + path);
-  struct stat st {};
-  const size_t size = ::fstat(::fileno(file.get()), &st) == 0 && st.st_size > 0
-                          ? static_cast<size_t>(st.st_size)
-                          : 0;
-  // One byte past the size, so that the read that meets end of file
-  // needs no growth.
-  std::string contents(size + 1, '\0');
-  size_t filled = 0;
-  for (;;) {
-    filled += std::fread(contents.data() + filled, 1,
-                         contents.size() - filled, file.get());
-    if (filled < contents.size()) break;  // end of file or error
-    contents.resize(2 * contents.size());
-  }
-  if (std::ferror(file.get())) {
-    return Status::Internal("cannot read " + path);
-  }
-  contents.resize(filled);
-  return contents;
 }
 
 Status WriteFile(const std::string& path, const std::string& contents) {

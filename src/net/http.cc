@@ -47,50 +47,7 @@ std::string_view Trim(std::string_view s) {
   return s;
 }
 
-int HexValue(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-void ParseQuery(std::string_view query,
-                std::map<std::string, std::string>* out) {
-  size_t start = 0;
-  while (start <= query.size()) {
-    size_t end = query.find('&', start);
-    if (end == std::string_view::npos) end = query.size();
-    const std::string_view pair = query.substr(start, end - start);
-    if (!pair.empty()) {
-      const size_t eq = pair.find('=');
-      if (eq == std::string_view::npos) {
-        (*out)[UrlDecode(pair)] = "";
-      } else {
-        (*out)[UrlDecode(pair.substr(0, eq))] = UrlDecode(pair.substr(eq + 1));
-      }
-    }
-    start = end + 1;
-  }
-}
-
 }  // namespace
-
-std::string UrlDecode(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '+') {
-      out += ' ';
-    } else if (s[i] == '%' && i + 2 < s.size() && HexValue(s[i + 1]) >= 0 &&
-               HexValue(s[i + 2]) >= 0) {
-      out += static_cast<char>(HexValue(s[i + 1]) * 16 + HexValue(s[i + 2]));
-      i += 2;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
 
 void HttpParser::Feed(const char* data, size_t size) {
   if (broken_) return;
@@ -208,14 +165,7 @@ HttpParser::Poll HttpParser::Next(HttpRequest* request, Status* error) {
   }
 
   // Split the target; decide keep-alive.
-  const size_t qmark = parsed.target.find('?');
-  if (qmark == std::string::npos) {
-    parsed.path = parsed.target;
-  } else {
-    parsed.path = parsed.target.substr(0, qmark);
-    ParseQuery(std::string_view(parsed.target).substr(qmark + 1),
-               &parsed.query);
-  }
+  parsed.path = parsed.target.substr(0, parsed.target.find('?'));
   parsed.keep_alive = parsed.minor_version >= 1;
   const auto conn = parsed.headers.find("connection");
   if (conn != parsed.headers.end()) {

@@ -12,16 +12,13 @@ namespace pasa {
 namespace net {
 
 /// One parsed HTTP/1.x request, as produced by HttpParser. Only what the
-/// admin plane needs: method, split target, lower-cased headers, and the
-/// keep-alive decision (HTTP/1.1 defaults to keep-alive, HTTP/1.0 to
+/// admin plane needs: method, target and its path, lower-cased headers, and
+/// the keep-alive decision (HTTP/1.1 defaults to keep-alive, HTTP/1.0 to
 /// close, Connection overrides either way).
 struct HttpRequest {
   std::string method;  ///< as sent, upper-case by convention ("GET")
   std::string target;  ///< raw request target ("/profile?seconds=1")
   std::string path;    ///< target up to '?' ("/profile")
-  /// Percent-decoded query parameters ('+' decodes to space). Repeated
-  /// keys keep the last value.
-  std::map<std::string, std::string> query;
   int minor_version = 1;  ///< HTTP/1.<minor_version>
   /// Header fields with lower-cased names; repeated fields keep the last.
   std::map<std::string, std::string> headers;
@@ -91,10 +88,6 @@ const char* HttpStatusText(int status);
 std::string EncodeHttpResponse(int status, std::string_view content_type,
                                std::string_view body, bool keep_alive,
                                bool head_only = false);
-
-/// Percent-decodes `s` ('%41' -> 'A', '+' -> ' '); malformed escapes are
-/// kept verbatim.
-std::string UrlDecode(std::string_view s);
 
 /// One HTTP exchange as seen by the blocking client helpers.
 struct HttpResponse {

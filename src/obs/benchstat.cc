@@ -4,9 +4,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "common/file.h"
 #include "common/table.h"
 #include "obs/export.h"
 
@@ -100,13 +99,9 @@ Status WriteSnapshotFile(const Snapshot& snapshot, const std::string& path) {
 }
 
 Result<Snapshot> LoadSnapshotFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::InvalidArgument("cannot open snapshot file " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  Result<json::Value> document = json::Parse(content.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  Result<json::Value> document = json::Parse(*text);
   if (!document.ok()) {
     return Status::InvalidArgument("snapshot file " + path + ": " +
                                    document.status().message());

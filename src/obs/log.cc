@@ -152,15 +152,6 @@ void Logger::Log(LogLevel level, std::string_view component,
   std::fflush(out);
 }
 
-void Logf(LogLevel level, const char* component, const char* format, ...) {
-  if (!Logger::Global().Enabled(level)) return;
-  va_list args;
-  va_start(args, format);
-  const std::string message = FormatV(format, args);
-  va_end(args);
-  Logger::Global().Log(level, component, message);
-}
-
 #define PASA_OBS_LOGF_BODY(Level)                            \
   if (!Logger::Global().Enabled(Level)) return;              \
   va_list args;                                              \

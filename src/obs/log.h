@@ -98,8 +98,6 @@ class Logger {
 /// printf-style convenience wrappers over Logger::Global(). The level
 /// filter is applied before formatting, so a suppressed call never
 /// formats its message.
-void Logf(LogLevel level, const char* component, const char* format, ...)
-    __attribute__((format(printf, 3, 4)));
 void LogDebug(const char* component, const char* format, ...)
     __attribute__((format(printf, 2, 3)));
 void LogInfo(const char* component, const char* format, ...)

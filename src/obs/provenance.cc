@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "common/file.h"
 #include "obs/export.h"
 #include "obs/mem.h"
 #include "obs/metrics.h"
@@ -260,11 +260,9 @@ Result<std::vector<ProvenanceRecord>> ParseProvenanceJsonl(
 
 Result<std::vector<ProvenanceRecord>> ReadProvenanceJsonlFile(
     const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot read audit file " + path);
-  std::ostringstream content;
-  content << file.rdbuf();
-  return ParseProvenanceJsonl(content.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return ParseProvenanceJsonl(*text);
 }
 
 /// The append-on-record JSONL sink behind StreamTo.

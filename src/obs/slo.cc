@@ -1,11 +1,10 @@
 #include "obs/slo.h"
 
 #include <algorithm>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 
+#include "common/file.h"
 #include "obs/json.h"
 #include "obs/log.h"
 #include "obs/metrics.h"
@@ -143,11 +142,9 @@ Result<std::vector<SloObjective>> SloObjectivesFromJson(
 
 Result<std::vector<SloObjective>> SloObjectivesFromJsonFile(
     const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot read slo config " + path);
-  std::ostringstream content;
-  content << file.rdbuf();
-  return SloObjectivesFromJson(content.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return SloObjectivesFromJson(*text);
 }
 
 std::vector<SloObjective> DefaultServingObjectives() {

@@ -4,6 +4,7 @@
 #include "obs/metrics.h"
 #include "obs/provenance.h"
 #include "obs/trace.h"
+#include "pasa/incremental.h"
 
 namespace pasa {
 
@@ -12,18 +13,13 @@ Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
                                      const AnonymizerOptions& options) {
   if (options.k < 1) return Status::InvalidArgument("k must be >= 1");
   obs::ScopedSpan build_span("anonymizer/build", obs::ScopedSpan::kRoot);
-  Result<BinaryTree> tree = [&] {
-    obs::ScopedSpan tree_span("tree_build");
-    return BinaryTree::Build(db, extent,
-                             TreeOptions{.split_threshold = options.k,
-                                         .orientation = options.orientation});
-  }();
-  if (!tree.ok()) return tree.status();
-  Result<DpMatrix> matrix = ComputeDpMatrix(*tree, options.k, options.dp);
-  if (!matrix.ok()) return matrix.status();
+  Result<std::pair<BinaryTree, DpMatrix>> built = BuildTreeAndMatrix(
+      db, extent, options.k, options.dp, options.orientation);
+  if (!built.ok()) return built.status();
+  auto& [tree, matrix] = *built;
   Result<ExtractedPolicy> policy = [&] {
     obs::ScopedSpan extract_span("extract_policy");
-    return ExtractOptimalPolicy(*tree, *matrix, options.k);
+    return ExtractOptimalPolicy(tree, matrix, options.k);
   }();
   if (!policy.ok()) return policy.status();
 
@@ -31,7 +27,8 @@ Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,
                 "cost %lld",
                 db.size(), options.k,
                 static_cast<long long>(policy->cost));
-  return Anonymizer(options, db, std::move(*tree), std::move(*policy));
+  // The matrix is dropped with `built`: serving reads only tree and policy.
+  return Anonymizer(options, db, std::move(tree), std::move(*policy));
 }
 
 Result<Anonymizer> Anonymizer::Build(const LocationDatabase& db,

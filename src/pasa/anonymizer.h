@@ -33,8 +33,10 @@ struct AnonymizerOptions {
 ///   Result<AnonymizedRequest> ar = a->Anonymize(sr);
 class Anonymizer {
  public:
-  /// Builds the binary tree, runs the optimized Bulk_dp, and extracts one
-  /// optimal policy. Fails with Infeasible when 0 < |D| < k.
+  /// Builds the binary tree and runs the optimized Bulk_dp
+  /// (BuildTreeAndMatrix, the incremental engine's build path), extracts
+  /// one optimal policy and drops the matrix. Fails with Infeasible when
+  /// 0 < |D| < k.
   static Result<Anonymizer> Build(const LocationDatabase& db,
                                   const MapExtent& extent,
                                   const AnonymizerOptions& options);

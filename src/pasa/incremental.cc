@@ -13,20 +13,25 @@
 namespace pasa {
 namespace {
 
+constexpr char kTornMessage[] =
+    "a failed repair or rebuild left the tree and matrix apart; rebuild first";
+
+}  // namespace
+
 Result<std::pair<BinaryTree, DpMatrix>> BuildTreeAndMatrix(
     const LocationDatabase& db, const MapExtent& extent, int k,
-    const DpOptions& dp_options) {
+    const DpOptions& dp_options, SplitOrientation orientation) {
   Result<BinaryTree> tree = [&] {
     obs::ScopedSpan tree_span("tree_build");
-    return BinaryTree::Build(db, extent, TreeOptions{.split_threshold = k});
+    return BinaryTree::Build(
+        db, extent,
+        TreeOptions{.split_threshold = k, .orientation = orientation});
   }();
   if (!tree.ok()) return tree.status();
   Result<DpMatrix> matrix = ComputeDpMatrix(*tree, k, dp_options);
   if (!matrix.ok()) return matrix.status();
   return std::pair(std::move(*tree), std::move(*matrix));
 }
-
-}  // namespace
 
 Status ApplyMovesToDatabase(const std::vector<UserMove>& moves,
                             LocationDatabase* db) {
@@ -49,20 +54,26 @@ Result<IncrementalAnonymizer> IncrementalAnonymizer::Build(
 
 Status IncrementalAnonymizer::Rebuild(const std::vector<UserMove>& moves) {
   obs::ScopedSpan span("rebuild");
-  repaired_ = false;
+  policy_ = ExtractedPolicy{};
+  policy_state_ = PolicyState::kTorn;
   std::vector<int32_t>().swap(changed_);
   if (Status s = ApplyMovesToDatabase(moves, &db_); !s.ok()) return s;
   Result<std::pair<BinaryTree, DpMatrix>> built =
       BuildTreeAndMatrix(db_, tree_.extent(), k_, dp_options_);
   if (!built.ok()) return built.status();
   std::tie(tree_, matrix_) = std::move(*built);
+  policy_state_ = PolicyState::kStale;
   return Status::Ok();
 }
 
 Result<size_t> IncrementalAnonymizer::ApplyMoves(
     const std::vector<UserMove>& moves) {
   obs::ScopedSpan span("incremental/repair", obs::ScopedSpan::kRoot);
-  repaired_ = false;
+  if (policy_state_ == PolicyState::kTorn) {
+    return Status::Internal(kTornMessage);
+  }
+  const bool policy_was_current = policy_state_ == PolicyState::kCurrent;
+  policy_state_ = PolicyState::kTorn;
   changed_.clear();
   const size_t old_nodes = tree_.num_nodes();
   std::vector<BinaryTree::Touch> touched;
@@ -139,7 +150,8 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
     changed_.push_back(id);
     ++rows_changed;
   }
-  repaired_ = true;
+  policy_state_ =
+      policy_was_current ? PolicyState::kOneRepair : PolicyState::kStale;
   if (p != nullptr) {
     auto& registry = obs::MetricsRegistry::Global();
     if (dp_options_.two_stage) {
@@ -162,20 +174,23 @@ Result<size_t> IncrementalAnonymizer::ApplyMoves(
   return recomputed;
 }
 
-Status IncrementalAnonymizer::UpdatePolicy(ExtractedPolicy* policy) {
-  Status s = Status::Ok();
-  if (repaired_ && !policy->assignment.empty()) {
-    s = UpdateOptimalPolicy(tree_, matrix_, k_, changed_, policy);
-  } else {
-    Result<ExtractedPolicy> extracted = ExtractPolicy();
-    if (extracted.ok()) {
-      *policy = std::move(*extracted);
-    } else {
-      s = extracted.status();
-    }
+Status IncrementalAnonymizer::RefreshPolicy() {
+  if (policy_state_ == PolicyState::kCurrent) return Status::Ok();
+  if (policy_state_ == PolicyState::kTorn) {
+    policy_ = ExtractedPolicy{};
+    return Status::Internal(kTornMessage);
   }
-  repaired_ = false;
+  Status s = Status::Ok();
+  if (policy_state_ == PolicyState::kOneRepair) {
+    s = UpdateOptimalPolicy(tree_, matrix_, k_, changed_, &policy_);
+  } else if (Result<ExtractedPolicy> full = ExtractPolicy(); full.ok()) {
+    policy_ = std::move(*full);
+  } else {
+    s = full.status();
+  }
   std::vector<int32_t>().swap(changed_);
+  if (!s.ok()) policy_ = ExtractedPolicy{};
+  policy_state_ = s.ok() ? PolicyState::kCurrent : PolicyState::kStale;
   return s;
 }
 

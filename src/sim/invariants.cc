@@ -150,12 +150,6 @@ std::optional<Violation> CheckRepairEqualsRebuild(const SimModel& model) {
 
 }  // namespace
 
-const std::vector<std::string>& InvariantNames() {
-  static const std::vector<std::string> names = {"kanon", "cache",
-                                                 "quarantine", "repair"};
-  return names;
-}
-
 Result<uint32_t> ParseInvariantMask(const std::string& csv) {
   if (csv.empty() || csv == "all") return kAllInvariants;
   uint32_t mask = 0;

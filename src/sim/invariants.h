@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "sim/model.h"
@@ -44,9 +43,8 @@ struct Violation {
   friend bool operator==(const Violation& a, const Violation& b) = default;
 };
 
-/// Short names for the catalog ("kanon,cache,quarantine,repair"), the
-/// spelling --invariants accepts.
-const std::vector<std::string>& InvariantNames();
+/// Parses a comma-separated list of the catalog's short names
+/// ("kanon,cache,quarantine,repair"), the spelling --invariants accepts.
 Result<uint32_t> ParseInvariantMask(const std::string& csv);
 
 /// Checks every enabled invariant against the model's current state and the

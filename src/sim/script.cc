@@ -2,8 +2,8 @@
 
 #include <fstream>
 #include <map>
-#include <sstream>
 
+#include "common/file.h"
 #include "obs/json.h"
 
 namespace pasa {
@@ -156,13 +156,9 @@ Result<CounterexampleScript> CounterexampleScript::FromJson(
 
 Result<CounterexampleScript> CounterexampleScript::FromJsonFile(
     const std::string& path) {
-  std::ifstream file(path);
-  if (!file) {
-    return Status::NotFound("cannot open counterexample script " + path);
-  }
-  std::ostringstream content;
-  content << file.rdbuf();
-  return FromJson(content.str());
+  Result<std::string> text = ReadFile(path);
+  if (!text.ok()) return text.status();
+  return FromJson(*text);
 }
 
 Status CounterexampleScript::WriteFile(const std::string& path) const {

@@ -107,7 +107,10 @@ TEST(BenchstatTest, FileRoundTripCreatesParentDirectories) {
 }
 
 TEST(BenchstatTest, LoadRejectsMissingAndMalformedFiles) {
-  EXPECT_FALSE(LoadSnapshotFile("/no/such/BENCH.json").ok());
+  EXPECT_EQ(LoadSnapshotFile("/no/such/BENCH.json").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(LoadSnapshotFile(::testing::TempDir()).status().code(),
+            StatusCode::kInternal);  // a directory is unreadable, not empty
   const std::string path = ::testing::TempDir() + "/benchstat_bad.json";
   ASSERT_TRUE(WriteTextFile(path, "{not json").ok());
   EXPECT_FALSE(LoadSnapshotFile(path).ok());

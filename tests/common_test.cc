@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <fstream>
 #include <set>
+#include <string>
 
+#include "common/file.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -222,6 +226,22 @@ TEST(TimerTest, MeasuresElapsedTime) {
   for (int i = 0; i < 100000; ++i) sink += std::sqrt(static_cast<double>(i));
   EXPECT_GE(timer.ElapsedSeconds(), 0.0);
   EXPECT_GE(timer.ElapsedMillis(), timer.ElapsedSeconds());
+}
+
+TEST(ReadFileTest, ReadsTheWholeFile) {
+  const std::string path = ::testing::TempDir() + "/pasa_read_file_test.txt";
+  const std::string contents(10'000, 'x');
+  std::ofstream(path) << contents;
+  Result<std::string> read = ReadFile(path);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(*read, contents);
+  std::remove(path.c_str());
+}
+
+TEST(ReadFileTest, MissingIsNotFoundAndADirectoryIsUnreadable) {
+  EXPECT_EQ(ReadFile("/no/such/file").status().code(), StatusCode::kNotFound);
+  const Status dir = ReadFile(::testing::TempDir()).status();
+  EXPECT_EQ(dir.code(), StatusCode::kInternal) << dir.ToString();
 }
 
 }  // namespace

@@ -99,6 +99,11 @@ TEST(FaultPlanTest, MissingFileIsNotFound) {
             StatusCode::kNotFound);
 }
 
+TEST(FaultPlanTest, DirectoryIsUnreadableNotEmpty) {
+  EXPECT_EQ(FaultPlan::FromJsonFile(::testing::TempDir()).status().code(),
+            StatusCode::kInternal);
+}
+
 TEST_F(FaultInjectorTest, DisarmedInjectorNeverFires) {
   FaultInjector& injector = FaultInjector::Global();
   EXPECT_FALSE(injector.armed());

@@ -92,13 +92,13 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // The oracle is the from-scratch code on the engine's own tree: every live
-// row must equal ComputeDpMatrix's, and `policy`, kept up to date with
-// UpdatePolicy, must equal ExtractOptimalPolicy's configuration, assignment
-// and cost.
-void ExpectMatchesFromScratch(const IncrementalAnonymizer& engine,
-                              const ExtractedPolicy& policy, int k,
+// row must equal ComputeDpMatrix's, and the engine's policy, kept up to
+// date with RefreshPolicy, must equal ExtractOptimalPolicy's configuration,
+// assignment and cost.
+void ExpectMatchesFromScratch(const IncrementalAnonymizer& engine, int k,
                               const std::string& label) {
   const BinaryTree& tree = engine.tree();
+  const ExtractedPolicy& policy = engine.policy();
   Result<DpMatrix> fresh = ComputeDpMatrix(tree, k, DpOptions{});
   ASSERT_TRUE(fresh.ok()) << label;
   ASSERT_EQ(engine.matrix().rows.size(), tree.num_nodes()) << label;
@@ -119,16 +119,16 @@ void ExpectMatchesFromScratch(const IncrementalAnonymizer& engine,
   EXPECT_EQ(policy.cost, full->cost) << label;
 }
 
-// Applies `moves`, updates `policy` and checks both against the oracle.
-void RepairAndCheck(IncrementalAnonymizer* engine, ExtractedPolicy* policy,
+// Applies `moves`, refreshes the policy and checks both against the oracle.
+void RepairAndCheck(IncrementalAnonymizer* engine,
                     const std::vector<UserMove>& moves, int k,
                     const std::string& label) {
   Result<size_t> recomputed = engine->ApplyMoves(moves);
   ASSERT_TRUE(recomputed.ok()) << label << ": "
                                << recomputed.status().ToString();
-  Status s = engine->UpdatePolicy(policy);
+  Status s = engine->RefreshPolicy();
   ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
-  ExpectMatchesFromScratch(*engine, *policy, k, label);
+  ExpectMatchesFromScratch(*engine, k, label);
 }
 
 class IncrementalOracle : public ::testing::TestWithParam<IncrementalParam> {};
@@ -140,14 +140,13 @@ TEST_P(IncrementalOracle, RowsAndPolicyEqualFromScratchAfterEveryBatch) {
   Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
       RandomDb(&rng, p.n, extent), extent, p.k, DpOptions{});
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
-  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
   for (int batch = 0; batch < 8; ++batch) {
     MovementOptions movement;
     movement.moving_fraction = p.moving_fraction;
     movement.max_distance = 12.0;
     movement.seed = p.seed * 1000 + static_cast<uint64_t>(batch);
-    RepairAndCheck(&*inc, &*policy,
+    RepairAndCheck(&*inc,
                    DrawMoves(inc->snapshot(), extent, movement), p.k,
                    "batch " + std::to_string(batch));
   }
@@ -182,14 +181,13 @@ TEST(IncrementalOracleTest, BayAreaSnapshot) {
       IncrementalAnonymizer::Build(gen.Generate(20'000), gen.extent(), k,
                                    DpOptions{});
   ASSERT_TRUE(inc.ok()) << inc.status().ToString();
-  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
-  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
   for (int batch = 0; batch < 6; ++batch) {
     MovementOptions movement;
     movement.moving_fraction = batch % 2 == 0 ? 0.005 : 0.02;
     movement.max_distance = 200.0;
     movement.seed = 2600 + static_cast<uint64_t>(batch);
-    RepairAndCheck(&*inc, &*policy,
+    RepairAndCheck(&*inc,
                    DrawMoves(inc->snapshot(), gen.extent(), movement), k,
                    "batch " + std::to_string(batch));
   }
@@ -205,8 +203,7 @@ TEST(IncrementalOracleTest, BatchesThatSplitAndCollapseNodes) {
   Result<IncrementalAnonymizer> inc =
       IncrementalAnonymizer::Build(db, extent, k, DpOptions{});
   ASSERT_TRUE(inc.ok());
-  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
-  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
   auto corner = [](uint32_t row) {
     return Point{static_cast<Coord>(row % 3), static_cast<Coord>(row % 2)};
   };
@@ -218,14 +215,14 @@ TEST(IncrementalOracleTest, BatchesThatSplitAndCollapseNodes) {
     back.push_back({row, corner(row), db.row(row).location});
   }
   const size_t nodes_before = inc->tree().num_nodes();
-  RepairAndCheck(&*inc, &*policy, pile, k, "pile");
+  RepairAndCheck(&*inc, pile, k, "pile");
   ASSERT_GT(inc->tree().num_nodes(), nodes_before);  // split
   std::vector<bool> live_piled(inc->tree().num_nodes());
   for (size_t id = 0; id < live_piled.size(); ++id) {
     live_piled[id] = inc->tree().node(static_cast<int32_t>(id)).live;
   }
 
-  RepairAndCheck(&*inc, &*policy, back, k, "back");
+  RepairAndCheck(&*inc, back, k, "back");
   size_t abandoned = 0;  // live after the pile, dead after the way back
   for (size_t id = 0; id < live_piled.size(); ++id) {
     if (live_piled[id] && !inc->tree().node(static_cast<int32_t>(id)).live) {
@@ -242,7 +239,7 @@ TEST(IncrementalOracleTest, BatchesThatSplitAndCollapseNodes) {
     mixed.push_back({row, db.row(row).location,
                      Point{63 - static_cast<Coord>(row % 4), 63}});
   }
-  RepairAndCheck(&*inc, &*policy, mixed, k, "mixed");
+  RepairAndCheck(&*inc, mixed, k, "mixed");
 }
 
 TEST(IncrementalOracleTest, MoveInsideOneLeafReordersItsRowsOnly) {
@@ -255,8 +252,7 @@ TEST(IncrementalOracleTest, MoveInsideOneLeafReordersItsRowsOnly) {
   Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
       RandomDb(&rng, 300, extent), extent, k, DpOptions{});
   ASSERT_TRUE(inc.ok());
-  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
-  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
   // The leaf's first row moves to a corner of the leaf; pick a leaf where
   // that changes the assignment a full extraction yields.
   auto move_in_leaf = [&](int32_t leaf) {
@@ -277,14 +273,14 @@ TEST(IncrementalOracleTest, MoveInsideOneLeafReordersItsRowsOnly) {
                     .ok());
     Result<ExtractedPolicy> moved = trial.ExtractPolicy();
     ASSERT_TRUE(moved.ok());
-    if (moved->assignment != policy->assignment) {
+    if (moved->assignment != inc->policy().assignment) {
       leaf = static_cast<int32_t>(id);
     }
   }
   ASSERT_GE(leaf, 0);
   const std::vector<uint32_t> rows_before = inc->tree().LeafRows(leaf);
   const std::vector<DpRow> matrix_before = inc->matrix().rows;
-  const std::vector<int32_t> assignment_before = policy->assignment;
+  const std::vector<int32_t> assignment_before = inc->policy().assignment;
 
   Result<size_t> recomputed = inc->ApplyMoves({move_in_leaf(leaf)});
   ASSERT_TRUE(recomputed.ok()) << recomputed.status().ToString();
@@ -293,9 +289,9 @@ TEST(IncrementalOracleTest, MoveInsideOneLeafReordersItsRowsOnly) {
   for (size_t id = 0; id < matrix_before.size(); ++id) {
     EXPECT_EQ(inc->matrix().rows[id].dense, matrix_before[id].dense) << id;
   }
-  ASSERT_TRUE(inc->UpdatePolicy(&*policy).ok());
-  EXPECT_NE(policy->assignment, assignment_before);
-  ExpectMatchesFromScratch(*inc, *policy, k, "move inside a leaf");
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  EXPECT_NE(inc->policy().assignment, assignment_before);
+  ExpectMatchesFromScratch(*inc, k, "move inside a leaf");
 }
 
 TEST(IncrementalOracleTest, BelowKLeavesThatGainOrLoseAUserStillChange) {
@@ -309,8 +305,7 @@ TEST(IncrementalOracleTest, BelowKLeavesThatGainOrLoseAUserStillChange) {
   Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
       RandomDb(&rng, 400, extent), extent, k, DpOptions{});
   ASSERT_TRUE(inc.ok());
-  Result<ExtractedPolicy> policy = inc->ExtractPolicy();
-  ASSERT_TRUE(policy.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
   const uint32_t kk = static_cast<uint32_t>(k);
   size_t moves_made = 0;
   size_t parent_rows_changed = 0;
@@ -337,7 +332,7 @@ TEST(IncrementalOracleTest, BelowKLeavesThatGainOrLoseAUserStillChange) {
     ASSERT_TRUE(inc->matrix().rows[dest].dense.empty());
     const DpRow parent_before = inc->matrix().rows[parent];
     const std::string label = "move of row " + std::to_string(row);
-    RepairAndCheck(&*inc, &*policy, {UserMove{row, from, to}}, k, label);
+    RepairAndCheck(&*inc, {UserMove{row, from, to}}, k, label);
     ASSERT_TRUE(inc->tree().node(source).IsLeaf()) << label;
     ASSERT_TRUE(inc->matrix().rows[source].dense.empty()) << label;
     ASSERT_TRUE(inc->matrix().rows[dest].dense.empty()) << label;
@@ -350,6 +345,123 @@ TEST(IncrementalOracleTest, BelowKLeavesThatGainOrLoseAUserStillChange) {
   }
   EXPECT_EQ(moves_made, 30u);
   EXPECT_GT(parent_rows_changed, 0u);
+}
+
+// RefreshPolicy on every path to a tree: whether it re-walks what one repair
+// changed or extracts in full, the engine's policy equals a from-scratch
+// extraction on the tree it ends on.
+TEST(EnginePolicyTest, RefreshEqualsAFullExtractionOnEveryPath) {
+  Rng rng(30);
+  const MapExtent extent{0, 0, 7};
+  const int k = 5;
+  Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
+      RandomDb(&rng, 600, extent), extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  EXPECT_TRUE(inc->policy().assignment.empty());  // Build extracts nothing
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ExpectMatchesFromScratch(*inc, k, "after Build");
+
+  uint64_t seed = 3000;
+  auto moves = [&](double fraction) {
+    MovementOptions movement;
+    movement.moving_fraction = fraction;
+    movement.max_distance = 40.0;
+    movement.seed = ++seed;
+    return DrawMoves(inc->snapshot(), extent, movement);
+  };
+  RepairAndCheck(&*inc, moves(0.02), k, "after one repair");
+
+  ASSERT_TRUE(inc->ApplyMoves(moves(0.02)).ok());
+  ASSERT_TRUE(inc->ApplyMoves(moves(0.02)).ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ExpectMatchesFromScratch(*inc, k, "after two repairs");
+  RepairAndCheck(&*inc, moves(0.02), k, "after a repair that follows them");
+
+  ASSERT_TRUE(inc->Rebuild(moves(0.10)).ok());
+  EXPECT_TRUE(inc->policy().assignment.empty());  // Rebuild drops it
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ExpectMatchesFromScratch(*inc, k, "after Rebuild");
+
+  // The repair fallback: a batch fails part-way, Rebuild puts it in place.
+  std::vector<UserMove> batch = moves(0.02);
+  ASSERT_FALSE(batch.empty());
+  UserMove& last = batch.back();
+  last.from.x = last.from.x == 0 ? 1 : last.from.x - 1;  // stale origin
+  ASSERT_FALSE(inc->ApplyMoves(batch).ok());
+  ASSERT_TRUE(inc->Rebuild(batch).ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ExpectMatchesFromScratch(*inc, k, "after the repair fallback");
+  RepairAndCheck(&*inc, moves(0.02), k, "after a repair that follows it");
+}
+
+TEST(EnginePolicyTest, TwoRepairsWithoutARefreshBetweenThem) {
+  // The policy is current before the first repair only, so the refresh
+  // after the second must not re-walk just what the second one changed.
+  BayAreaOptions options;
+  options.log2_map_side = 13;
+  options.num_intersections = 500;
+  options.users_per_intersection = 10;
+  options.user_sigma = 60.0;
+  options.num_clusters = 8;
+  options.seed = 31;
+  const BayAreaGenerator gen(options);
+  const int k = 20;
+  Result<IncrementalAnonymizer> inc = IncrementalAnonymizer::Build(
+      gen.Generate(5'000), gen.extent(), k, DpOptions{});
+  ASSERT_TRUE(inc.ok()) << inc.status().ToString();
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  for (int round = 0; round < 10; ++round) {
+    for (int repair = 0; repair < 2; ++repair) {
+      MovementOptions movement;
+      movement.moving_fraction = 0.01;
+      movement.max_distance = 200.0;
+      movement.seed = 3100 + static_cast<uint64_t>(2 * round + repair);
+      ASSERT_TRUE(
+          inc->ApplyMoves(DrawMoves(inc->snapshot(), gen.extent(), movement))
+              .ok());
+    }
+    const std::string label = "round " + std::to_string(round);
+    Status s = inc->RefreshPolicy();
+    ASSERT_TRUE(s.ok()) << label << ": " << s.ToString();
+    ExpectMatchesFromScratch(*inc, k, label);
+  }
+}
+
+TEST(EnginePolicyTest, FailedRefreshLeavesThePolicyEmptyUntilRebuild) {
+  Rng rng(32);
+  const MapExtent extent{0, 0, 6};
+  const int k = 4;
+  const LocationDatabase db = RandomDb(&rng, 200, extent);
+  Result<IncrementalAnonymizer> inc =
+      IncrementalAnonymizer::Build(db, extent, k, DpOptions{});
+  ASSERT_TRUE(inc.ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ASSERT_EQ(inc->policy().assignment.size(), db.size());
+
+  // A stale move fails the batch. However far a failed batch got, the
+  // engine neither repairs nor reads a policy off its tree and matrix until
+  // a Rebuild; this one failed before moving anyone, where an extraction
+  // would still work.
+  std::vector<UserMove> batch;
+  for (uint32_t row = 0; row < 3; ++row) {
+    batch.push_back({row, db.row(row).location,
+                     Point{static_cast<Coord>(60 + row), 60}});
+  }
+  batch.front().from.x = batch.front().from.x == 0 ? 1 : 0;
+  ASSERT_FALSE(inc->ApplyMoves(batch).ok());
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    Status s = inc->RefreshPolicy();
+    EXPECT_EQ(s.code(), StatusCode::kInternal) << s.ToString();
+    EXPECT_TRUE(inc->policy().assignment.empty());
+    EXPECT_TRUE(inc->policy().config.passed_up.empty());
+    EXPECT_EQ(inc->policy().cost, 0);
+  }
+  Result<size_t> repair = inc->ApplyMoves({});
+  EXPECT_EQ(repair.status().code(), StatusCode::kInternal);
+
+  ASSERT_TRUE(inc->Rebuild(batch).ok());
+  ASSERT_TRUE(inc->RefreshPolicy().ok());
+  ExpectMatchesFromScratch(*inc, k, "after the rebuild");
 }
 
 TEST(IncrementalTest, NoMovesIsANoOp) {

@@ -444,5 +444,10 @@ TEST(CsvTest, MissingFile) {
             StatusCode::kNotFound);
 }
 
+TEST(CsvTest, DirectoryIsUnreadable) {
+  EXPECT_EQ(LoadLocationDatabaseCsv(::testing::TempDir()).status().code(),
+            StatusCode::kInternal);
+}
+
 }  // namespace
 }  // namespace pasa

@@ -182,6 +182,9 @@ TEST_F(ProvenanceTest, WriteJsonlFileRoundTripsTheWholeRing) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+  // A directory is unreadable: not an audit trail with no records.
+  EXPECT_EQ(ReadProvenanceJsonlFile(::testing::TempDir()).status().code(),
+            StatusCode::kInternal);
 }
 
 TEST_F(ProvenanceTest, ScopedRecordIsInertWhileRingDisabled) {

@@ -216,6 +216,17 @@ TEST_F(SimTest, NetFaultPointsAreRejected) {
   EXPECT_FALSE(SimModel::Create(options).ok());
 }
 
+TEST(CounterexampleScriptTest, MissingFileIsNotFoundAndADirectoryIsUnreadable) {
+  EXPECT_EQ(CounterexampleScript::FromJsonFile("/no/such/script.json")
+                .status()
+                .code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(CounterexampleScript::FromJsonFile(::testing::TempDir())
+                .status()
+                .code(),
+            StatusCode::kInternal);
+}
+
 }  // namespace
 }  // namespace sim
 }  // namespace pasa

@@ -202,6 +202,13 @@ TEST_F(SloTest, DefaultServingObjectivesCoverTheThreeSlos) {
   EXPECT_EQ(std::string(SloKindName(defaults[2].kind)), "zero_violations");
 }
 
+TEST(SloConfigTest, MissingFileIsNotFoundAndADirectoryIsUnreadable) {
+  EXPECT_EQ(SloObjectivesFromJsonFile("/no/such/slo.json").status().code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(SloObjectivesFromJsonFile(::testing::TempDir()).status().code(),
+            StatusCode::kInternal);
+}
+
 }  // namespace
 }  // namespace obs
 }  // namespace pasa

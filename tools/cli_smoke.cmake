@@ -184,10 +184,12 @@ run_capture(0 violations_out ${CLI} explain --audit ${AUDIT}
             --only violations)
 require_fragment(violations_out "0 of " "explain --only violations output")
 
-# explain without an audit file is a usage error; a missing file fails.
+# explain without an audit file is a usage error; a missing file fails, and
+# so does a directory, which must not read as an audit with no records.
 run_or_die(2 ${CLI} explain)
 run_or_die(2 ${CLI} explain --audit ${AUDIT} --only sideways)
 run_or_die(1 ${CLI} explain --audit ${WORK_DIR}/no_such_audit.jsonl)
+run_or_die(1 ${CLI} explain --audit ${WORK_DIR}/cli_smoke_out)
 
 # serve --watch renders the SLO / sliding-window dashboard against the
 # steady clock at the requested epoch cadence.

@@ -21,11 +21,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/file.h"
 #include "obs/benchstat.h"
 #include "obs/log.h"
 #include "tools/cli_flags.h"
@@ -102,10 +101,9 @@ int RunCommand(const Flags& flags) {
     std::map<std::string, double> samples;
     samples["wall_seconds"] = wall_seconds;
     if (std::filesystem::exists(metrics_json)) {
-      std::ifstream file(metrics_json);
-      std::ostringstream content;
-      content << file.rdbuf();
-      Result<obs::json::Value> document = obs::json::Parse(content.str());
+      Result<std::string> text = ReadFile(metrics_json);
+      if (!text.ok()) return Fail(text.status());
+      Result<obs::json::Value> document = obs::json::Parse(*text);
       if (document.ok()) {
         for (const auto& [key, value] :
              bs::MeasurementsFromMetricsJson(*document)) {

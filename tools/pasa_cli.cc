@@ -84,14 +84,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "attack/auditor.h"
+#include "common/file.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/table.h"
@@ -766,14 +765,6 @@ int RunMemstats(const Flags& flags) {
   return 0;
 }
 
-Result<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream file(path);
-  if (!file) return Status::NotFound("cannot read " + path);
-  std::ostringstream buffer;
-  buffer << file.rdbuf();
-  return buffer.str();
-}
-
 // Stitches a client-side and a server-side Chrome trace into one timeline.
 // Both files carry a "wallClockBaseMicros" anchor (wall-clock micros at
 // their ts == 0), so rebasing every server timestamp by the anchor delta
@@ -793,7 +784,7 @@ int RunTraceMerge(const Flags& flags) {
   };
   Side sides[2] = {{"client", 1.0, {}, 0.0}, {"server", 2.0, {}, 0.0}};
   for (Side& side : sides) {
-    Result<std::string> text = ReadWholeFile(flags.GetString(side.role));
+    Result<std::string> text = ReadFile(flags.GetString(side.role));
     if (!text.ok()) return Fail(text.status());
     Result<obs::json::Value> doc = obs::json::Parse(*text);
     if (!doc.ok()) {
