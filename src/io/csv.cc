@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/file.h"
+#include "common/flat_index.h"
 #include "obs/trace.h"
 
 namespace pasa {
@@ -126,16 +127,49 @@ Status WriteFile(const std::string& path, const std::string& contents) {
 }  // namespace
 
 Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text) {
+  // Every row is a line, and a last line need not end in '\n'.
+  const size_t lines = static_cast<size_t>(
+      std::count(text.begin(), text.end(), '\n') +
+      (!text.empty() && text.back() != '\n'));
+  if (!ItemCountFits(lines)) {
+    return Status::InvalidArgument(
+        std::to_string(lines) + " lines: a snapshot holds at most " +
+        std::to_string(kMaxItems) + " rows");
+  }
   LocationDatabase db;
-  db.Reserve(static_cast<size_t>(std::count(text.begin(), text.end(), '\n')));
-  Status s = ScanRows<3>(text, [&](size_t line, const int64_t(&v)[3]) {
-    if (!db.Add(v[0], Point{v[1], v[2]})) {
-      return Status::InvalidArgument(LinePrefix(line) +
-                                     "duplicate user id " +
-                                     std::to_string(v[0]));
+  db.Reserve(lines);
+  // Rows wait in blocks of kBlock before they are added, so each row's
+  // index slot is fetched while the rows after it are parsed: at 10^6 rows
+  // the index outgrows the caches and every Add would otherwise stall on
+  // a miss.
+  constexpr size_t kBlock = 32;
+  struct Parsed {
+    size_t line;
+    UserLocation row;
+  };
+  std::vector<Parsed> block;
+  block.reserve(kBlock);
+  Status duplicate;
+  const auto add_block = [&] {
+    for (const Parsed& p : block) {
+      if (!db.Add(p.row.user, p.row.location)) {
+        duplicate = Status::InvalidArgument(LinePrefix(p.line) +
+                                            "duplicate user id " +
+                                            std::to_string(p.row.user));
+        break;
+      }
     }
-    return Status::Ok();
+    block.clear();
+    return duplicate;
+  };
+  const Status s = ScanRows<3>(text, [&](size_t line, const int64_t(&v)[3]) {
+    db.Prefetch(v[0]);
+    block.push_back(Parsed{line, UserLocation{v[0], Point{v[1], v[2]}}});
+    return block.size() == kBlock ? add_block() : Status::Ok();
   });
+  // The rows still waiting precede the line a malformed-input error names.
+  if (duplicate.ok()) add_block();
+  if (!duplicate.ok()) return duplicate;
   if (!s.ok()) return s;
   return db;
 }

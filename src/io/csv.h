@@ -19,7 +19,9 @@ namespace pasa {
 /// README.md, "CSV formats"). Blank lines and lines starting with '#' are
 /// skipped; a leading header row is detected and skipped. Returns
 /// InvalidArgument with a line number on malformed input or on a user id
-/// that an earlier row already used.
+/// that an earlier row already used, and InvalidArgument before allocating
+/// anything when the text has more lines than a snapshot may hold rows
+/// (ItemCountFits).
 Result<LocationDatabase> ParseLocationDatabaseCsv(const std::string& text);
 
 /// Serializes a snapshot (with header).

@@ -3,14 +3,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "geo/rect.h"
 #include "model/anonymized_request.h"
 #include "obs/mem.h"
@@ -18,30 +17,10 @@
 namespace pasa {
 namespace answer_cache_internal {
 
-inline constexpr uint32_t kNone = UINT32_MAX;
-
-/// Narrows a table size to the 32-bit item numbers the cache stores. The
-/// cache runs out of memory long before 2^32 items; reaching the limit is a
-/// program fault, not a request error, so it stops the process loudly
-/// instead of wrapping an index.
-inline uint32_t ItemNumber(size_t n) {
-  if (n >= kNone) {
-    std::fprintf(stderr, "answer cache: more than 2^32-1 items\n");
-    std::abort();
-  }
-  return static_cast<uint32_t>(n);
-}
-
 /// Frees a vector's buffer (`v = {}` would keep its capacity).
 template <typename T>
 void Release(std::vector<T>& v) {
   std::vector<T>().swap(v);
-}
-
-inline uint64_t Mix64(uint64_t z) {
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-  return z ^ (z >> 31);
 }
 
 /// Calls `emit(byte)` for each byte of `n` as a LEB128 length prefix. A
@@ -75,48 +54,6 @@ inline uint64_t HashOfBytes(std::string_view bytes) {
   hash.Bytes(bytes);
   return hash.Finish();
 }
-
-/// Open-addressing index over items numbered 0..n-1 that live elsewhere:
-/// each slot holds item + 1 (0 is empty), linear probing, power-of-two
-/// capacity, at most half full. Empty until the first insert.
-class FlatIndex {
- public:
-  /// The item whose hash is `hash` and for which `equal(item)` holds.
-  template <typename Equal>
-  uint32_t Find(uint64_t hash, Equal&& equal) const {
-    if (slots_.empty()) return kNone;
-    const size_t mask = slots_.size() - 1;
-    for (size_t i = hash & mask;; i = (i + 1) & mask) {
-      const uint32_t slot = slots_[i];
-      if (slot == 0) return kNone;
-      if (equal(slot - 1)) return slot - 1;
-    }
-  }
-
-  /// Adds `item`, known to be absent, the `items`-th one stored. Growing
-  /// re-places items 0..item-1 by `hash_of(i)`.
-  template <typename HashOf>
-  void Insert(uint64_t hash, uint32_t item, HashOf&& hash_of) {
-    if (2 * (static_cast<size_t>(item) + 1) > slots_.size()) {
-      slots_.assign(std::max<size_t>(16, 2 * slots_.size()), 0);
-      for (uint32_t i = 0; i < item; ++i) Place(hash_of(i), i);
-    }
-    Place(hash, item);
-  }
-
-  void Clear() { Release(slots_); }
-  uint64_t ApproxBytes() const { return obs::VectorApproxBytes(slots_); }
-
- private:
-  void Place(uint64_t hash, uint32_t item) {
-    const size_t mask = slots_.size() - 1;
-    size_t i = hash & mask;
-    while (slots_[i] != 0) i = (i + 1) & mask;
-    slots_[i] = item + 1;
-  }
-
-  std::vector<uint32_t> slots_;
-};
 
 /// Byte strings stored once each, back to back in one arena, numbered in
 /// insertion order and found by content. A string's hash is HashOfBytes of
@@ -271,10 +208,10 @@ class AnswerCache {
     const uint32_t params =
         FindParams(internal::HashOfParams(ar.params), ar.params);
     const uint32_t entry =
-        params == internal::kNone
-            ? internal::kNone
+        params == kNoItem
+            ? kNoItem
             : FindEntry(ar.cloak, params, KeyHash(ar.cloak, params));
-    if (entry == internal::kNone) {
+    if (entry == kNoItem) {
       ++stats_.misses;
       return nullptr;
     }
@@ -289,19 +226,19 @@ class AnswerCache {
     ++stats_.billable_since_flush;
     const uint64_t params_hash = internal::HashOfParams(ar.params);
     uint32_t params = FindParams(params_hash, ar.params);
-    if (params == internal::kNone) {
+    if (params == kNoItem) {
       params = params_.Add(params_hash, [&](std::vector<char>& out) {
         internal::AppendParams(out, ar.params);
       });
-      bucket_head_.push_back(internal::kNone);
+      bucket_head_.push_back(kNoItem);
     }
     const uint64_t hash = KeyHash(ar.cloak, params);
     const uint32_t found = FindEntry(ar.cloak, params, hash);
-    if (found != internal::kNone) {
+    if (found != kNoItem) {
       entries_[found].answer = std::move(answer);
       return entries_[found].answer;
     }
-    const uint32_t entry = internal::ItemNumber(entries_.size());
+    const uint32_t entry = ItemNumber(entries_.size());
     entries_.push_back(
         Entry{ar.cloak, params, bucket_head_[params], std::move(answer)});
     bucket_head_[params] = entry;
@@ -321,10 +258,10 @@ class AnswerCache {
     namespace internal = answer_cache_internal;
     const uint32_t params =
         FindParams(internal::HashOfParams(ar.params), ar.params);
-    if (params == internal::kNone) return nullptr;
+    if (params == kNoItem) return nullptr;
     const Entry* best = nullptr;
     int64_t best_overlap = 0;
-    for (uint32_t e = bucket_head_[params]; e != internal::kNone;
+    for (uint32_t e = bucket_head_[params]; e != kNoItem;
          e = entries_[e].next_same_params) {
       ++stats_.fallback_visits;
       const Entry& entry = entries_[e];
@@ -408,8 +345,8 @@ class AnswerCache {
   struct Entry {
     Rect cloak;
     uint32_t params = 0;
-    /// The previous entry with the same params id (kNone ends the chain).
-    uint32_t next_same_params = answer_cache_internal::kNone;
+    /// The previous entry with the same params id (kNoItem ends the chain).
+    uint32_t next_same_params = kNoItem;
     Answer answer;
   };
 
@@ -421,7 +358,7 @@ class AnswerCache {
 
   // rid deliberately excluded: duplicates must collide.
   static uint64_t KeyHash(const Rect& cloak, uint32_t params) {
-    return answer_cache_internal::Mix64(
+    return Mix64(
         static_cast<uint64_t>(cloak.x1) * 0x9E3779B97F4A7C15ULL ^
         static_cast<uint64_t>(cloak.y1) * 0xC2B2AE3D27D4EB4FULL ^
         static_cast<uint64_t>(cloak.x2) * 0x165667B19E3779F9ULL ^
@@ -442,7 +379,7 @@ class AnswerCache {
   }
 
   std::vector<Entry> entries_;
-  answer_cache_internal::FlatIndex index_;
+  FlatIndex index_;
   answer_cache_internal::ByteInterner params_;
   /// Per params id, the newest entry with those params.
   std::vector<uint32_t> bucket_head_;

@@ -22,9 +22,9 @@ void RecordCacheHitWindow(bool hit) {
 
 void PoiAnswerCache::Put(const AnonymizedRequest& ar,
                          const std::vector<PointOfInterest>& pois) {
-  const uint32_t offset = answer_cache_internal::ItemNumber(ids_.size());
+  const uint32_t offset = ItemNumber(ids_.size());
   for (const PointOfInterest& poi : pois) ids_.push_back(InternPoi(poi));
-  const uint32_t end = answer_cache_internal::ItemNumber(ids_.size());
+  const uint32_t end = ItemNumber(ids_.size());
   index_.Put(ar, Slice{offset, end - offset});
 }
 
@@ -58,14 +58,14 @@ uint32_t PoiAnswerCache::InternCategory(const std::string& category) {
   const uint64_t hash = answer_cache_internal::HashOfBytes(category);
   const uint32_t found = categories_.Find(
       hash, [&](std::string_view stored) { return stored == category; });
-  if (found != answer_cache_internal::kNone) return found;
+  if (found != kNoItem) return found;
   return categories_.Add(hash, [&](std::vector<char>& out) {
     out.insert(out.end(), category.begin(), category.end());
   });
 }
 
 uint64_t PoiAnswerCache::RecordHash(const PoiRecord& r) {
-  return answer_cache_internal::Mix64(
+  return Mix64(
       static_cast<uint64_t>(r.id) * 0x9E3779B97F4A7C15ULL ^
       static_cast<uint64_t>(r.x) * 0xC2B2AE3D27D4EB4FULL ^
       static_cast<uint64_t>(r.y) * 0x165667B19E3779F9ULL ^ r.category);
@@ -80,8 +80,8 @@ uint32_t PoiAnswerCache::InternPoi(const PointOfInterest& poi) {
     return r.id == record.id && r.x == record.x && r.y == record.y &&
            r.category == record.category;
   });
-  if (found != answer_cache_internal::kNone) return found;
-  const uint32_t id = answer_cache_internal::ItemNumber(records_.size());
+  if (found != kNoItem) return found;
+  const uint32_t id = ItemNumber(records_.size());
   records_.push_back(record);
   record_index_.Insert(hash, id,
                        [&](uint32_t i) { return RecordHash(records_[i]); });

@@ -120,7 +120,7 @@ class PoiAnswerCache {
   AnswerCache<Slice> index_;
   answer_cache_internal::ByteInterner categories_;
   std::vector<PoiRecord> records_;
-  answer_cache_internal::FlatIndex record_index_;
+  FlatIndex record_index_;
   std::vector<uint32_t> ids_;
 };
 

@@ -2,9 +2,9 @@
 #define PASA_MODEL_LOCATION_DATABASE_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/status.h"
 #include "geo/point.h"
 #include "geo/rect.h"
@@ -29,14 +29,17 @@ struct UserLocation {
 ///
 /// Rows are stored in insertion order; `index` below refers to a row's
 /// position, which the anonymization modules use as a dense user handle.
-/// The snapshot is the one owner of the user id -> row mapping: it keeps a
-/// hash index over its rows that every id lookup goes through.
+/// The snapshot is the one owner of the user id -> row mapping: a FlatIndex
+/// of 32-bit row numbers, hashed on Mix64 of the id and compared against
+/// the rows themselves, so the index costs 4 bytes a slot (8 to 16 a row)
+/// and stores no id of its own. A snapshot holds at most kMaxItems rows.
 class LocationDatabase {
  public:
   LocationDatabase() = default;
   /// Builds a snapshot from rows. User ids need not be dense but must be
   /// unique; uniqueness is the caller's contract (checked in debug builds;
-  /// a duplicate id resolves to its first row).
+  /// a duplicate id resolves to its first row). Stops the process on more
+  /// than kMaxItems rows (ItemNumber).
   explicit LocationDatabase(std::vector<UserLocation> rows);
 
   size_t size() const { return rows_.size(); }
@@ -46,17 +49,21 @@ class LocationDatabase {
   const std::vector<UserLocation>& rows() const { return rows_; }
 
   /// Appends one row and returns true, or returns false and adds nothing
-  /// when `user` is already in the snapshot. One hash insert either way.
+  /// when `user` is already in the snapshot. One probe either way, plus a
+  /// rehash when the index doubles. Stops the process rather than number a
+  /// row past kMaxItems (ItemNumber).
   bool Add(UserId user, Point location);
 
-  /// Makes room for `n` rows and their index entries, so that Adding them
+  /// Makes room for `n` rows and their index slots, so that Adding them
   /// neither reallocates nor over-sizes the index.
-  void Reserve(size_t n) {
-    rows_.reserve(n);
-    row_of_user_.reserve(n);
-  }
+  void Reserve(size_t n);
 
-  /// Returns the row index of `user`, or NotFound. One hash lookup.
+  /// Starts loading the index slot an Add or IndexOf of `user` reads
+  /// first. A hint only: a bulk load calls it a few rows ahead of each Add,
+  /// so the slot's cache miss overlaps other work.
+  void Prefetch(UserId user) const;
+
+  /// Returns the row index of `user`, or NotFound. One probe.
   Result<size_t> IndexOf(UserId user) const;
 
   /// Moves the user at `row` to `new_location` (the snapshot-to-snapshot
@@ -78,20 +85,18 @@ class LocationDatabase {
     return static_cast<uint64_t>(rows_.capacity()) * sizeof(UserLocation);
   }
 
-  /// Approximate heap bytes held by the user id -> row index: the bucket
-  /// array plus one node (key, row, next pointer) per user.
-  uint64_t IndexApproxBytes() const {
-    return static_cast<uint64_t>(row_of_user_.bucket_count()) *
-               sizeof(void*) +
-           static_cast<uint64_t>(row_of_user_.size()) *
-               (sizeof(std::pair<const UserId, size_t>) + sizeof(void*));
-  }
+  /// Heap bytes held by the user id -> row index: its slot capacity times
+  /// 4. Exact, not an estimate.
+  uint64_t IndexApproxBytes() const { return index_.ApproxBytes(); }
 
  private:
+  /// Row of `user`, whose hash is `hash`, or kNoItem.
+  uint32_t FindRow(UserId user, uint64_t hash) const;
+
   std::vector<UserLocation> rows_;
   /// Row of every user id. Ids never change after a row is added, so only
-  /// the constructor and Add write it.
-  std::unordered_map<UserId, size_t> row_of_user_;
+  /// the constructor, Reserve and Add write it.
+  FlatIndex index_;
 };
 
 }  // namespace pasa

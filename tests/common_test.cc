@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/file.h"
+#include "common/flat_index.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "common/status.h"
@@ -72,6 +73,53 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("payload");
   const std::string moved = std::move(r).value();
   EXPECT_EQ(moved, "payload");
+}
+
+TEST(FlatIndexTest, ItemCountLimitAtItsBoundary) {
+  // Items are numbered 0 .. 2^32 - 2; 2^32 - 1 means "absent".
+  EXPECT_EQ(kMaxItems, size_t{UINT32_MAX});
+  EXPECT_TRUE(ItemCountFits(0));
+  EXPECT_TRUE(ItemCountFits(kMaxItems));
+  EXPECT_FALSE(ItemCountFits(kMaxItems + 1));
+  EXPECT_EQ(ItemNumber(0), 0u);
+  EXPECT_EQ(ItemNumber(kMaxItems - 1), UINT32_MAX - 1);
+  EXPECT_NE(ItemNumber(kMaxItems - 1), kNoItem);
+  EXPECT_DEATH(ItemNumber(kMaxItems), "more than 2\\^32-1 items");
+}
+
+TEST(FlatIndexTest, TellsApartItemsThatShareHomeSlotAndTag) {
+  // Every hash has its low 16 bits set, so at up to 2^16 slots every item
+  // starts probing at the last slot and all but the first wrap. Items 0..5
+  // hash alike, tag bits included, so only `equal` tells them apart;
+  // items 6..11 keep other tags.
+  const auto hash_of = [](uint32_t i) -> uint64_t {
+    return i < 6 ? ~uint64_t{0} : (uint64_t{i} << 40) | 0xFFFF;
+  };
+  FlatIndex index;
+  EXPECT_EQ(index.Find(hash_of(0), [](uint32_t) { return true; }), kNoItem);
+  for (uint32_t i = 0; i < 12; ++i) {
+    index.Insert(hash_of(i), i, hash_of);
+    for (uint32_t j = 0; j <= i; ++j) {
+      EXPECT_EQ(index.Find(hash_of(j), [&](uint32_t item) { return item == j; }),
+                j);
+    }
+  }
+  EXPECT_EQ(index.ApproxBytes(), 32 * sizeof(uint32_t));
+  EXPECT_EQ(index.Find(hash_of(0), [](uint32_t) { return false; }), kNoItem);
+  // A tag no item has is never handed to `equal`.
+  EXPECT_EQ(index.Find((uint64_t{99} << 40) | 0xFFFF,
+                       [](uint32_t) { return true; }),
+            kNoItem);
+
+  index.Reserve(1000, 12, hash_of);
+  EXPECT_EQ(index.ApproxBytes(), 2048 * sizeof(uint32_t));
+  for (uint32_t j = 0; j < 12; ++j) {
+    EXPECT_EQ(index.Find(hash_of(j), [&](uint32_t item) { return item == j; }),
+              j);
+  }
+  index.Clear();
+  EXPECT_EQ(index.ApproxBytes(), 0u);
+  EXPECT_EQ(index.Find(hash_of(0), [](uint32_t) { return true; }), kNoItem);
 }
 
 TEST(RngTest, DeterministicPerSeed) {

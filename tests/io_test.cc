@@ -291,6 +291,41 @@ TEST(CsvTest, RejectsDuplicateUserIds) {
       << s.ToString();
 }
 
+// Rows are added a block at a time, after later lines are parsed; errors
+// must still name the first bad line.
+TEST(CsvTest, ReportsTheFirstBadLineAcrossBlocks) {
+  const auto rows = [](int n) {
+    std::string text = "userid,locx,locy\n";
+    for (int i = 0; i < n; ++i) {
+      text += std::to_string(i) + "," + std::to_string(i) + ",0\n";
+    }
+    return text;
+  };
+  // 100 rows span several blocks and all arrive, in order.
+  Result<LocationDatabase> parsed = ParseLocationDatabaseCsv(rows(100));
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  ASSERT_EQ(parsed->size(), 100u);
+  for (size_t i = 0; i < 100; ++i) {
+    EXPECT_EQ(parsed->row(i).user, static_cast<UserId>(i));
+    EXPECT_EQ(*parsed->IndexOf(static_cast<UserId>(i)), i);
+  }
+  const auto error = [](const std::string& text) {
+    return ParseLocationDatabaseCsv(text).status().ToString();
+  };
+  // A repeat of user 5 on line 72 (header + 70 rows), far from the first.
+  EXPECT_NE(error(rows(70) + "5,9,9\n").find("line 72: duplicate user id 5"),
+            std::string::npos);
+  // A duplicate still waiting in its block outranks a later malformed line.
+  EXPECT_NE(error(rows(40) + "7,1,1\nnot,a,row\n").find(
+                "line 42: duplicate user id 7"),
+            std::string::npos);
+  EXPECT_NE(error("1,0,0\n1,1,1\n2,x\n").find("line 2: duplicate user id 1"),
+            std::string::npos);
+  // A malformed line before the duplicate is the one reported.
+  EXPECT_NE(error(rows(40) + "8,1\n7,1,1\n").find("line 42: expected 3"),
+            std::string::npos);
+}
+
 TEST(CsvTest, LocationRoundTrip) {
   const LocationDatabase db = MakeDb({{0, 0}, {123, -456}, {7, 7}});
   Result<LocationDatabase> parsed =
