@@ -13,6 +13,12 @@
 // lbs/answer_cache_served: half the requests repeat a (cloak, category) key,
 // half carry a unique token as cold traffic does.
 //
+// After the sweep, the audit ring is armed on a fresh 10^5 server and filled
+// to its 65,536-record capacity with requests served through
+// CspServer::HandleRequest, so every record carries a real tree path; its
+// bytes are reported as obs/provenance_ring_full, the cost of running the
+// server with --audit-out.
+//
 // Measurement keys are absolute (not PASA_BENCH_SCALE-scaled) so snapshots
 // stay comparable across hosts; memory is deterministic per seed. Set
 // PASA_FOOTPRINT_MAX=<users> to cap the sweep on constrained hosts —
@@ -32,6 +38,7 @@
 #include "csp/server.h"
 #include "obs/benchstat.h"
 #include "obs/mem.h"
+#include "obs/provenance.h"
 #include "workload/bay_area.h"
 
 namespace {
@@ -39,6 +46,37 @@ namespace {
 using namespace pasa;
 
 constexpr size_t kSweep[] = {10'000, 100'000, 1'000'000};
+/// |D| of the server the full audit ring is measured on.
+constexpr size_t kRingUsers = 100'000;
+
+/// A snapshot of `users` seeded Bay Area users and a CSP started on it.
+struct Stack {
+  LocationDatabase db;
+  Result<CspServer> csp;
+};
+
+Stack StartStack(size_t users) {
+  BayAreaOptions bay;
+  bay.log2_map_side = 17;
+  bay.seed = 3;
+  const BayAreaGenerator generator(bay);
+  LocationDatabase db = generator.Generate(users);
+
+  Rng rng(9);
+  std::vector<PointOfInterest> pois;
+  for (size_t i = 0; i < 2048; ++i) {
+    pois.push_back(PointOfInterest{
+        static_cast<int64_t>(i),
+        Point{static_cast<Coord>(rng.NextBounded(generator.extent().side())),
+              static_cast<Coord>(rng.NextBounded(generator.extent().side()))},
+        "poi"});
+  }
+  CspOptions options;
+  options.k = 50;
+  Result<CspServer> csp = CspServer::Start(
+      db, generator.extent(), PoiDatabase(std::move(pois)), options);
+  return Stack{std::move(db), std::move(csp)};
+}
 
 /// Serves |D|/10 requests from seeded senders; every other one carries a
 /// unique 16-hex token. Returns the answer cache's bytes afterwards.
@@ -57,6 +95,22 @@ uint64_t ServedAnswerCacheBytes(CspServer& csp, const LocationDatabase& db) {
     csp.HandleRequest(sr).ok();
   }
   return csp.frontend().cache().ApproxBytes();
+}
+
+/// Arms the process-wide audit ring, fills it to capacity with requests
+/// from seeded senders, and returns its bytes. Leaves the ring disarmed.
+uint64_t FullProvenanceRingBytes(CspServer& csp, const LocationDatabase& db) {
+  obs::ProvenanceRing& ring = obs::ProvenanceRing::Global();
+  ring.Enable();
+  Rng rng(13);
+  while (ring.size() < ring.capacity()) {
+    const UserLocation& row = db.row(rng.NextBounded(db.size()));
+    csp.HandleRequest(ServiceRequest{row.user, row.location, {{"poi", "poi"}}})
+        .ok();
+  }
+  const uint64_t bytes = ring.ApproxBytes();
+  ring.Disable();
+  return bytes;
 }
 
 std::string KeyPrefix(size_t users) {
@@ -95,26 +149,9 @@ int main(int argc, char** argv) {
                   max_users);
       continue;
     }
-    BayAreaOptions bay;
-    bay.log2_map_side = 17;
-    bay.seed = 3;
-    const BayAreaGenerator generator(bay);
-    const LocationDatabase db = generator.Generate(users);
-
-    Rng rng(9);
-    std::vector<PointOfInterest> pois;
-    for (size_t i = 0; i < 2048; ++i) {
-      pois.push_back(PointOfInterest{
-          static_cast<int64_t>(i),
-          Point{static_cast<Coord>(rng.NextBounded(generator.extent().side())),
-                static_cast<Coord>(rng.NextBounded(generator.extent().side()))},
-          "poi"});
-    }
-    CspOptions options;
-    options.k = 50;
-    Result<CspServer> csp = CspServer::Start(db, generator.extent(),
-                                             PoiDatabase(std::move(pois)),
-                                             options);
+    Stack stack = StartStack(users);
+    const LocationDatabase& db = stack.db;
+    Result<CspServer>& csp = stack.csp;
     if (!csp.ok()) {
       std::fprintf(stderr, "CSP start failed at |D|=%zu: %s\n", users,
                    csp.status().ToString().c_str());
@@ -151,6 +188,20 @@ int main(int argc, char** argv) {
                                      1)});
   }
   table.Print();
+
+  if (kRingUsers <= max_users) {
+    Stack stack = StartStack(kRingUsers);
+    if (!stack.csp.ok()) {
+      std::fprintf(stderr, "CSP start failed at |D|=%zu: %s\n", kRingUsers,
+                   stack.csp.status().ToString().c_str());
+      return 1;
+    }
+    const uint64_t ring_bytes = FullProvenanceRingBytes(*stack.csp, stack.db);
+    run["footprint/obs/provenance_ring_full"] =
+        static_cast<double>(ring_bytes);
+    std::printf("\naudit ring at capacity (|D|=%zu): %.1f MiB\n", kRingUsers,
+                ring_bytes / (1024.0 * 1024.0));
+  }
 
   // Memory is deterministic per seed, so one run is the whole population:
   // stddev 0 makes the benchstat noise gate a pure threshold gate.

@@ -22,6 +22,17 @@ const char* StatusCodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
+Result<StatusCode> ParseStatusCode(std::string_view name) {
+  for (const StatusCode code :
+       {StatusCode::kOk, StatusCode::kInfeasible, StatusCode::kInvalidArgument,
+        StatusCode::kInternal, StatusCode::kNotFound, StatusCode::kUnavailable,
+        StatusCode::kDeadlineExceeded}) {
+    if (name == StatusCodeName(code)) return code;
+  }
+  return Status::InvalidArgument("unknown status code '" + std::string(name) +
+                                 "'");
+}
+
 std::string Status::ToString() const {
   if (ok()) return "OK";
   std::string out = StatusCodeName(code_);

@@ -2,15 +2,17 @@
 #define PASA_COMMON_STATUS_H_
 
 #include <cassert>
+#include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace pasa {
 
 /// Error category carried by a `Status`. Mirrors the subset of conditions the
 /// library can actually report; keep this list short and meaningful.
-enum class StatusCode {
+enum class StatusCode : uint8_t {
   kOk = 0,
   /// The request cannot be satisfied for any input of this shape, e.g. fewer
   /// than k locations in the database so no k-anonymous policy exists.
@@ -116,6 +118,9 @@ class Result {
   std::optional<T> value_;
   Status status_;  // OK when value_ is set.
 };
+
+/// Inverse of StatusCodeName; InvalidArgument on any other name.
+Result<StatusCode> ParseStatusCode(std::string_view name);
 
 }  // namespace pasa
 

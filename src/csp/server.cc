@@ -82,7 +82,7 @@ Result<LbsAnswer> CspServer::HandleRequest(const ServiceRequest& sr,
     failed_counter_.Increment();
     if (p != nullptr) {
       p->outcome = obs::RequestOutcome::kFailed;
-      p->status = StatusCodeName(answer.status().code());
+      p->status = answer.status().code();
     }
     return answer.status();
   }
@@ -120,7 +120,7 @@ Result<AnonymizedRequest> CspServer::CloakRequest(const ServiceRequest& sr,
       p->sender = sr.sender;
       p->k = options_.k;
       p->outcome = obs::RequestOutcome::kRejected;
-      p->status = StatusCodeName(rejected.code());
+      p->status = rejected.code();
     }
     return rejected;
   }

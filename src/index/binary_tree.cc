@@ -416,22 +416,19 @@ int BinaryTree::Height() const {
   return height;
 }
 
-std::string BinaryTree::PathString(int32_t id) const {
-  if (id < 0 || static_cast<size_t>(id) >= nodes_.size()) return "";
-  std::string turns;  // collected leaf-to-root, reversed at the end
-  int32_t cur = id;
-  while (cur != kRootId) {
+TreePath BinaryTree::PathTo(int32_t id) const {
+  if (id < 0 || static_cast<size_t>(id) >= nodes_.size()) return TreePath();
+  // Collected leaf-to-root: the node's own turn is the lowest bit.
+  uint64_t turns = 0;
+  int depth = 0;
+  for (int32_t cur = id; cur != kRootId; ++depth) {
     const int32_t parent = nodes_[cur].parent;
-    if (parent < 0) return "";  // abandoned/detached node
-    turns += cur == nodes_[parent].first_child ? '0' : '1';
+    // An abandoned/detached node, or one deeper than a path can hold.
+    if (parent < 0 || depth == TreePath::kMaxDepth) return TreePath();
+    if (cur != nodes_[parent].first_child) turns |= uint64_t{1} << depth;
     cur = parent;
   }
-  std::string path = "r";
-  for (auto it = turns.rbegin(); it != turns.rend(); ++it) {
-    path += '.';
-    path += *it;
-  }
-  return path;
+  return TreePath::FromTurns(turns, depth);
 }
 
 BinaryTree::ShapeStats BinaryTree::ComputeShapeStats() const {

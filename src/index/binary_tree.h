@@ -2,10 +2,10 @@
 #define PASA_INDEX_BINARY_TREE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "common/tree_path.h"
 #include "geo/rect.h"
 #include "index/morton.h"
 #include "index/tree_options.h"
@@ -124,10 +124,11 @@ class BinaryTree {
   /// Maximum depth over live nodes.
   int Height() const;
 
-  /// Root-to-node path as turn labels: "r" for the root, then ".0" for a
-  /// first child and ".1" for a second (e.g. "r.0.1"). Empty string for an
-  /// out-of-range id. What provenance records store as `tree_path`.
-  std::string PathString(int32_t id) const;
+  /// Root-to-node path: one turn per level, 0 for a first child and 1 for a
+  /// second, rendered "r.0.1". Unknown for an out-of-range or detached id.
+  /// Walks up the parent links and allocates nothing; what provenance
+  /// records store as `tree_path`.
+  TreePath PathTo(int32_t id) const;
 
   /// Aggregate shape statistics for the Figure 3 experiment.
   struct ShapeStats {

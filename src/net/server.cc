@@ -900,8 +900,8 @@ void NetServer::Dispatch(const Pending& pending) {
       // The CSP records the outcome of what it handled; a frame that
       // failed without a status on its record (undecodable payload,
       // unroutable type) is classed here.
-      if (!failure.ok() && record.status == "OK") {
-        record.status = StatusCodeName(failure.code());
+      if (!failure.ok() && record.status == StatusCode::kOk) {
+        record.status = failure.code();
         if (failure.code() != StatusCode::kInvalidArgument &&
             failure.code() != StatusCode::kNotFound) {
           record.outcome = obs::RequestOutcome::kFailed;

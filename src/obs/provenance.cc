@@ -122,10 +122,8 @@ void AddFaultFire(ProvenanceRecord* record, std::string_view point) {
 }
 
 uint64_t RecordApproxBytes(const ProvenanceRecord& record) {
-  uint64_t bytes = StringApproxBytes(record.status) +
-                   StringApproxBytes(record.tree_path);
-  bytes += static_cast<uint64_t>(record.fault_fires.capacity()) *
-           sizeof(std::pair<std::string, uint32_t>);
+  uint64_t bytes = static_cast<uint64_t>(record.fault_fires.capacity()) *
+                   sizeof(std::pair<std::string, uint32_t>);
   for (const auto& [point, fires] : record.fault_fires) {
     bytes += StringApproxBytes(point);
   }
@@ -138,7 +136,7 @@ std::string ProvenanceToJsonl(const ProvenanceRecord& r) {
   AppendInt(&out, "sender", r.sender);
   AppendField(&out, "outcome", RequestOutcomeName(r.outcome),
               /*quoted=*/true);
-  AppendField(&out, "status", r.status, /*quoted=*/true);
+  AppendField(&out, "status", StatusCodeName(r.status), /*quoted=*/true);
   if (r.trace_id != 0) {
     AppendField(&out, "trace_id", TraceIdHex(r.trace_id), /*quoted=*/true);
   }
@@ -149,7 +147,7 @@ std::string ProvenanceToJsonl(const ProvenanceRecord& r) {
   AppendInt(&out, "cloak_y2", r.cloak_y2);
   AppendInt(&out, "cloak_area", r.cloak_area);
   AppendInt(&out, "policy_node", r.policy_node);
-  AppendField(&out, "tree_path", r.tree_path, /*quoted=*/true);
+  AppendField(&out, "tree_path", r.tree_path.ToString(), /*quoted=*/true);
   AppendInt(&out, "node_depth", r.node_depth);
   AppendUint(&out, "group_size", r.group_size);
   AppendUint(&out, "passed_up", r.passed_up);
@@ -191,7 +189,10 @@ Result<ProvenanceRecord> ProvenanceFromJson(const json::Value& value) {
   r.outcome = *outcome;
   r.rid = static_cast<int64_t>(NumberOr(value, "rid", 0));
   r.sender = static_cast<int64_t>(NumberOr(value, "sender", 0));
-  r.status = StringOr(value, "status", "OK");
+  Result<StatusCode> status =
+      ParseStatusCode(StringOr(value, "status", "OK"));
+  if (!status.ok()) return status.status();
+  r.status = *status;
   r.trace_id = TraceIdFromHex(StringOr(value, "trace_id", ""));
   r.k = static_cast<int32_t>(NumberOr(value, "k", 0));
   r.cloak_x1 = static_cast<int64_t>(NumberOr(value, "cloak_x1", 0));
@@ -200,7 +201,10 @@ Result<ProvenanceRecord> ProvenanceFromJson(const json::Value& value) {
   r.cloak_y2 = static_cast<int64_t>(NumberOr(value, "cloak_y2", 0));
   r.cloak_area = static_cast<int64_t>(NumberOr(value, "cloak_area", 0));
   r.policy_node = static_cast<int32_t>(NumberOr(value, "policy_node", -1));
-  r.tree_path = StringOr(value, "tree_path", "");
+  Result<TreePath> tree_path =
+      TreePath::Parse(StringOr(value, "tree_path", ""));
+  if (!tree_path.ok()) return tree_path.status();
+  r.tree_path = *tree_path;
   r.node_depth = static_cast<int32_t>(NumberOr(value, "node_depth", -1));
   r.group_size = static_cast<uint64_t>(NumberOr(value, "group_size", 0));
   r.passed_up = static_cast<uint64_t>(NumberOr(value, "passed_up", 0));
@@ -316,6 +320,13 @@ void ProvenanceRing::Enable(size_t capacity) {
   std::lock_guard<std::mutex> lock(mu_);
   capacity_ = std::max<size_t>(1, capacity);
   ring_.clear();
+  if (ring_.capacity() != capacity_) {
+    // The whole ring in one allocation: grown by doubling, it would leave
+    // its freed smaller buffers (as large as the ring, together) in the
+    // allocator's heap. Pages are touched only as records are appended.
+    std::vector<ProvenanceRecord>().swap(ring_);
+    ring_.reserve(capacity_);
+  }
   appended_ = 0;
   enabled_.store(true, std::memory_order_relaxed);
 }

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/tree_path.h"
 #include "obs/json.h"
 #include "obs/trace_context.h"
 
@@ -45,12 +46,16 @@ Result<RequestOutcome> ParseRequestOutcome(std::string_view name);
 /// Serialized as one JSONL object per record (`pasa_cli --audit-out`), with
 /// doubles printed exactly (%.17g) so a written audit file parses back
 /// field-for-field equal.
+///
+/// A fixed-size value: the status is a code, the tree path a packed word,
+/// and only fault_fires, empty unless a fault fired, holds heap. Names are
+/// rendered when the record is serialized. Fields are ordered by size, so
+/// the struct has no padding holes (sizeof is 200 B; the armed ring holds
+/// 65,536 of them).
 struct ProvenanceRecord {
   // Identity. rid is 0 for requests rejected before a cloak was assigned.
   int64_t rid = 0;
   int64_t sender = 0;
-  RequestOutcome outcome = RequestOutcome::kRejected;
-  std::string status = "OK";  ///< final StatusCode name
   /// Distributed trace id of the request (see obs/trace_context.h); 0 when
   /// the request was not traced. Serialized as a 16-char lowercase hex
   /// string in JSONL so offline joins against the loadgen latency log and
@@ -59,25 +64,16 @@ struct ProvenanceRecord {
 
   // The cloak decision. The cloak rectangle is stored as raw coordinates so
   // pasa_obs stays dependency-free; callers copy from geo::Rect.
-  int32_t k = 0;
   int64_t cloak_x1 = 0;
   int64_t cloak_y1 = 0;
   int64_t cloak_x2 = 0;
   int64_t cloak_y2 = 0;
   int64_t cloak_area = 0;
-  int32_t policy_node = -1;    ///< cloaking tree node id
-  std::string tree_path;       ///< root-to-node turns, e.g. "r.0.1"
-  int32_t node_depth = -1;
   uint64_t group_size = 0;     ///< candidate senders sharing this cloak
   uint64_t passed_up = 0;      ///< C(node): locations passed above the node
+  TreePath tree_path;          ///< root-to-node turns, rendered "r.0.1"
 
   // The LBS hop.
-  bool cache_hit = false;
-  bool stale_fallback = false;     ///< degraded: overlapping cached answer
-  uint32_t lbs_attempts = 0;
-  uint32_t lbs_retries = 0;
-  bool breaker_rejected = false;   ///< failed fast at the open breaker
-  bool deadline_exceeded = false;
   double lbs_simulated_micros = 0.0;  ///< injected latency + backoff consumed
   /// Injection points that fired while serving this request, with fire
   /// counts; kept sorted by point name (see AddFaultFire).
@@ -93,6 +89,19 @@ struct ProvenanceRecord {
   double net_decode_seconds = 0.0;
   double net_queue_seconds = 0.0;
   double net_encode_seconds = 0.0;
+
+  int32_t k = 0;
+  int32_t policy_node = -1;    ///< cloaking tree node id
+  int32_t node_depth = -1;
+  uint32_t lbs_attempts = 0;
+  uint32_t lbs_retries = 0;
+
+  RequestOutcome outcome = RequestOutcome::kRejected;
+  StatusCode status = StatusCode::kOk;  ///< final status (StatusCodeName)
+  bool cache_hit = false;
+  bool stale_fallback = false;     ///< degraded: overlapping cached answer
+  bool breaker_rejected = false;   ///< failed fast at the open breaker
+  bool deadline_exceeded = false;
 
   friend bool operator==(const ProvenanceRecord& a,
                          const ProvenanceRecord& b) = default;
@@ -113,8 +122,8 @@ struct CollectedSpan {
 /// point name (which JSON-object round-trips preserve).
 void AddFaultFire(ProvenanceRecord* record, std::string_view point);
 
-/// Approximate heap bytes held by the record's strings and fault fires
-/// (not counting sizeof(ProvenanceRecord)) — memory accounting, obs/mem.h.
+/// Approximate heap bytes held by the record's fault fires (not counting
+/// sizeof(ProvenanceRecord)) — memory accounting, obs/mem.h.
 uint64_t RecordApproxBytes(const ProvenanceRecord& record);
 
 /// One JSONL line (no trailing newline). Doubles use %.17g, so parsing the
@@ -122,11 +131,12 @@ uint64_t RecordApproxBytes(const ProvenanceRecord& record);
 std::string ProvenanceToJsonl(const ProvenanceRecord& record);
 
 /// Parses one record from a parsed JSON object. Unknown members are
-/// ignored; missing members keep their defaults; a malformed `outcome` is
-/// InvalidArgument.
+/// ignored; missing members keep their defaults; a malformed `outcome`, an
+/// unknown `status` name or a malformed `tree_path` is InvalidArgument.
 Result<ProvenanceRecord> ProvenanceFromJson(const json::Value& value);
 
-/// Parses a whole JSONL audit document (blank lines skipped).
+/// Parses a whole JSONL audit document (blank lines skipped); an error
+/// names the line it was found on.
 Result<std::vector<ProvenanceRecord>> ParseProvenanceJsonl(
     std::string_view text);
 
@@ -140,7 +150,8 @@ Result<std::vector<ProvenanceRecord>> ReadProvenanceJsonlFile(
 /// only disarmed cost is a few relaxed loads in ScopedProvenanceRecord plus
 /// null-pointer checks at annotation sites (gated by bench_overhead).
 /// Appends serialize on a mutex — the critical section is one vector-slot
-/// move, so the armed path stays lock-light and TSan-clean.
+/// move (a copy of the fixed-size record), so the armed path stays
+/// lock-light and TSan-clean.
 class ProvenanceRing {
  public:
   static constexpr size_t kDefaultCapacity = 1 << 16;
@@ -154,7 +165,8 @@ class ProvenanceRing {
   ProvenanceRing& operator=(const ProvenanceRing&) = delete;
 
   /// Clears the ring and starts recording, keeping the most recent
-  /// `capacity` records.
+  /// `capacity` records. Reserves the whole ring at once, so no Append
+  /// allocates.
   void Enable(size_t capacity = kDefaultCapacity);
 
   /// Stops recording; the collected records stay readable.
@@ -193,7 +205,7 @@ class ProvenanceRing {
   std::vector<ProvenanceRecord> Records() const;
 
   /// Approximate heap bytes held by the ring: the record array plus every
-  /// retained record's string payloads (memory accounting, obs/mem.h).
+  /// retained record's fault fires (memory accounting, obs/mem.h).
   uint64_t ApproxBytes() const;
 
   /// Writes the retained records as JSONL (creating parent directories).
@@ -202,7 +214,7 @@ class ProvenanceRing {
  private:
   mutable std::mutex mu_;
   std::atomic<bool> enabled_{false};
-  std::vector<ProvenanceRecord> ring_;  ///< grows to capacity_, then wraps
+  std::vector<ProvenanceRecord> ring_;  ///< reserved at capacity_, then wraps
   size_t capacity_ = kDefaultCapacity;
   uint64_t appended_ = 0;
   /// Append-on-record JSONL sink (pimpl'd so this header stays stream-free).

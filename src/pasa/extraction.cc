@@ -227,7 +227,7 @@ void AnnotateCloakDecision(const BinaryTree& tree,
   record->cloak_area = cloak.region.Area();
   record->policy_node = node;
   if (obs::ProvenanceRing::Global().enabled()) {
-    record->tree_path = tree.PathString(node);
+    record->tree_path = tree.PathTo(node);
   }
   record->node_depth = cloak.depth;
   record->group_size = policy.GroupSize(tree, node);

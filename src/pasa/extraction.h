@@ -69,9 +69,11 @@ Status UpdateOptimalPolicy(const BinaryTree& tree, const DpMatrix& matrix,
 /// Records the cloak decision behind one request on `record`: its rid and
 /// sender, k, the rectangle of cloaking node `node`, the node's place in
 /// `tree`, the anonymity group it hides the sender in and C(node).
-/// tree_path allocates, so it is filled only while the provenance ring is
-/// armed. Shared by CspServer and Anonymizer, so every audit record
-/// describes a decision the same way.
+/// Allocates nothing: tree_path is a packed word, rendered only when the
+/// record is serialized. The path walk reads one node per level, so it runs
+/// only while the provenance ring, its one reader, is armed. Shared by
+/// CspServer and Anonymizer, so every audit record describes a decision the
+/// same way.
 void AnnotateCloakDecision(const BinaryTree& tree,
                            const ExtractedPolicy& policy, int k, int32_t node,
                            int64_t rid, int64_t sender,

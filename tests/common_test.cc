@@ -16,6 +16,7 @@
 #include "common/status.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "common/tree_path.h"
 
 namespace pasa {
 namespace {
@@ -47,6 +48,22 @@ TEST(StatusTest, EveryCodeHasAName) {
                "DEADLINE_EXCEEDED");
 }
 
+TEST(StatusTest, ParseStatusCodeInvertsEveryName) {
+  for (const StatusCode code :
+       {StatusCode::kOk, StatusCode::kInfeasible, StatusCode::kInvalidArgument,
+        StatusCode::kInternal, StatusCode::kNotFound,
+        StatusCode::kUnavailable, StatusCode::kDeadlineExceeded}) {
+    Result<StatusCode> parsed = ParseStatusCode(StatusCodeName(code));
+    ASSERT_TRUE(parsed.ok()) << StatusCodeName(code);
+    EXPECT_EQ(*parsed, code);
+  }
+  for (const char* name : {"", "UNKNOWN", "ok", "NOT FOUND", "OK "}) {
+    Result<StatusCode> parsed = ParseStatusCode(name);
+    ASSERT_FALSE(parsed.ok()) << name;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST(StatusTest, ResilienceFactories) {
   const Status unavailable = Status::Unavailable("provider down");
   EXPECT_EQ(unavailable.code(), StatusCode::kUnavailable);
@@ -73,6 +90,50 @@ TEST(ResultTest, MoveOutValue) {
   Result<std::string> r = std::string("payload");
   const std::string moved = std::move(r).value();
   EXPECT_EQ(moved, "payload");
+}
+
+TEST(TreePathTest, PacksTurnsBelowAMarkerBit) {
+  EXPECT_FALSE(TreePath().known());
+  EXPECT_EQ(TreePath().depth(), -1);
+  EXPECT_EQ(TreePath().ToString(), "");
+  EXPECT_EQ(TreePath::FromTurns(0, 0).ToString(), "r");
+  EXPECT_EQ(TreePath::FromTurns(0b10010, 5).ToString(), "r.1.0.0.1.0");
+  EXPECT_EQ(TreePath::FromTurns(0b10010, 5).turns(), 0b10010u);
+  // Bits above the depth are not turns.
+  EXPECT_EQ(TreePath::FromTurns(0b111, 1), TreePath::FromTurns(1, 1));
+  EXPECT_NE(TreePath::FromTurns(0, 1), TreePath::FromTurns(0, 2));
+  const TreePath deepest = TreePath::FromTurns(~uint64_t{0}, 63);
+  EXPECT_TRUE(deepest.known());
+  EXPECT_EQ(deepest.depth(), 63);
+  EXPECT_EQ(deepest.turns(), ~uint64_t{0} >> 1);
+  EXPECT_FALSE(TreePath::FromTurns(0, 64).known());
+  EXPECT_FALSE(TreePath::FromTurns(0, -1).known());
+  static_assert(sizeof(TreePath) == sizeof(uint64_t));
+}
+
+TEST(TreePathTest, ParseInvertsToStringAtEveryDepth) {
+  Rng rng(31);
+  for (int depth = 0; depth <= TreePath::kMaxDepth; ++depth) {
+    const TreePath path = TreePath::FromTurns(rng.Next(), depth);
+    Result<TreePath> parsed = TreePath::Parse(path.ToString());
+    ASSERT_TRUE(parsed.ok()) << path.ToString();
+    EXPECT_EQ(*parsed, path);
+    EXPECT_EQ(parsed->depth(), depth);
+  }
+  Result<TreePath> unknown = TreePath::Parse("");
+  ASSERT_TRUE(unknown.ok());
+  EXPECT_FALSE(unknown->known());
+  std::string too_deep = "r";
+  for (int i = 0; i <= TreePath::kMaxDepth; ++i) too_deep += ".1";
+  for (const std::string& bad :
+       {std::string("x"), std::string("r."), std::string("r.2"),
+        std::string("r0"), std::string("r.0.1."), std::string("r.01"),
+        std::string(".0"), std::string("R.0"), std::string("r.0 "),
+        too_deep}) {
+    Result<TreePath> parsed = TreePath::Parse(bad);
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(FlatIndexTest, ItemCountLimitAtItsBoundary) {

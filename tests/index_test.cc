@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <utility>
 
 #include "index/binary_tree.h"
 #include "index/morton.h"
@@ -368,6 +370,53 @@ TEST(BinaryTreeTest, CollapseReleasesAbandonedLeafRows) {
   EXPECT_GT(abandoned, 0u);
   EXPECT_LT(tree->ApproxBytes(), before);
   ExpectLeavesPartitionAndCountsConsistent(*tree, db);
+}
+
+// Walks `path` down from the root: the node it names, or -1.
+int32_t FollowPath(const BinaryTree& tree, TreePath path) {
+  int32_t id = BinaryTree::kRootId;
+  for (int level = path.depth() - 1; level >= 0; --level) {
+    const BinaryTree::Node& n = tree.node(id);
+    if (n.IsLeaf()) return -1;
+    id = n.first_child + static_cast<int32_t>((path.turns() >> level) & 1);
+  }
+  return id;
+}
+
+TEST(BinaryTreeTest, PathToWalksBackDownToEveryNode) {
+  // A random map, and users crowded on one point of a log2-side-31 map,
+  // which splits down to side-1 cells at the deepest level a tree reaches.
+  Rng rng(2706);
+  const MapExtent small{0, 0, 9};
+  const MapExtent wide{-(Coord{1} << 30), 7, 31};
+  const LocationDatabase crowded =
+      MakeDb({{5, 9}, {5, 9}, {5, 9}, {6, 9}, {-(Coord{1} << 30), 7}});
+  for (const auto& [db, extent] :
+       {std::pair{RandomDb(&rng, 3000, small), small},
+        std::pair{crowded, wide}}) {
+    Result<BinaryTree> tree =
+        BinaryTree::Build(db, extent, TreeOptions{.split_threshold = 2});
+    ASSERT_TRUE(tree.ok());
+    int deepest = 0;
+    for (size_t i = 0; i < tree->num_nodes(); ++i) {
+      const int32_t id = static_cast<int32_t>(i);
+      if (!tree->node(id).live) continue;
+      const TreePath path = tree->PathTo(id);
+      ASSERT_TRUE(path.known()) << "node " << id;
+      EXPECT_EQ(path.depth(), tree->node(id).depth) << "node " << id;
+      EXPECT_EQ(FollowPath(*tree, path), id) << path.ToString();
+      deepest = std::max(deepest, path.depth());
+    }
+    EXPECT_EQ(deepest, tree->Height());
+    EXPECT_EQ(tree->PathTo(BinaryTree::kRootId).ToString(), "r");
+    EXPECT_FALSE(tree->PathTo(-1).known());
+    EXPECT_FALSE(
+        tree->PathTo(static_cast<int32_t>(tree->num_nodes())).known());
+  }
+  Result<BinaryTree> deep =
+      BinaryTree::Build(crowded, wide, TreeOptions{.split_threshold = 2});
+  ASSERT_TRUE(deep.ok());
+  EXPECT_EQ(deep->Height(), 62);
 }
 
 TEST(MapExtentTest, CoveringPicksSmallestPowerOfTwo) {

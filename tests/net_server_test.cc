@@ -239,7 +239,7 @@ TEST(NetServerTest, AuditTrailRecordsRequestsWithTheirRealOutcome) {
   ASSERT_EQ(records.size(), 2u);
   const obs::ProvenanceRecord& serve = records[0];
   EXPECT_EQ(serve.outcome, obs::RequestOutcome::kServed);
-  EXPECT_EQ(serve.status, "OK");
+  EXPECT_EQ(serve.status, StatusCode::kOk);
   EXPECT_EQ(serve.rid, serve_msg->rid);
   EXPECT_EQ(serve.sender, row.user);
   EXPECT_EQ(serve.group_size, serve_msg->group_size);
@@ -247,7 +247,7 @@ TEST(NetServerTest, AuditTrailRecordsRequestsWithTheirRealOutcome) {
   EXPECT_GT(serve.net_encode_seconds, 0.0);
   const obs::ProvenanceRecord& anonymize = records[1];
   EXPECT_EQ(anonymize.outcome, obs::RequestOutcome::kServed);
-  EXPECT_EQ(anonymize.status, "OK");
+  EXPECT_EQ(anonymize.status, StatusCode::kOk);
   EXPECT_EQ(anonymize.rid, cloak_msg->rid);
   EXPECT_NE(anonymize.rid, 0);
   EXPECT_EQ(anonymize.sender, row.user);
@@ -255,7 +255,7 @@ TEST(NetServerTest, AuditTrailRecordsRequestsWithTheirRealOutcome) {
   EXPECT_EQ(anonymize.group_size, cloak_msg->group_size);
   EXPECT_EQ(anonymize.cloak_x1, cloak_msg->cloak_x1);
   EXPECT_EQ(anonymize.cloak_y2, cloak_msg->cloak_y2);
-  EXPECT_FALSE(anonymize.tree_path.empty());
+  EXPECT_TRUE(anonymize.tree_path.known());
   EXPECT_EQ(anonymize.lbs_attempts, 0u);
 
   // An anonymize request the CSP rejects is audited as rejected.
@@ -267,7 +267,7 @@ TEST(NetServerTest, AuditTrailRecordsRequestsWithTheirRealOutcome) {
   records = ring.Records();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[2].outcome, obs::RequestOutcome::kRejected);
-  EXPECT_EQ(records[2].status, "INVALID_ARGUMENT");
+  EXPECT_EQ(records[2].status, StatusCode::kInvalidArgument);
   EXPECT_EQ(records[2].sender, 987654321);
   fx.server->Stop();
   ring.Disable();

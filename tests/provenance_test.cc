@@ -5,8 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
+#include <map>
 #include <string>
 #include <vector>
+
+#include "common/rng.h"
+#include "common/tree_path.h"
 
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -39,7 +46,7 @@ ProvenanceRecord FullRecord() {
   r.rid = 4217;
   r.sender = 99;
   r.outcome = RequestOutcome::kDegraded;
-  r.status = "UNAVAILABLE";
+  r.status = StatusCode::kUnavailable;
   r.k = 50;
   r.cloak_x1 = -8;
   r.cloak_y1 = 16;
@@ -47,7 +54,7 @@ ProvenanceRecord FullRecord() {
   r.cloak_y2 = 8192;
   r.cloak_area = (4096 + 8) * (8192 - 16);
   r.policy_node = 57;
-  r.tree_path = "r.1.0.0.1.0";
+  r.tree_path = *TreePath::Parse("r.1.0.0.1.0");
   r.node_depth = 5;
   r.group_size = 44;
   r.passed_up = 4;
@@ -65,6 +72,290 @@ ProvenanceRecord FullRecord() {
   r.cloak_seconds = 0.1 + 0.2;  // famously not 0.3
   r.lbs_seconds = 1.9366999999999999e-05;
   return r;
+}
+
+// Records covering every outcome, every status name, tree paths of depth
+// 0, 1, 17 and 63 plus the unknown path, zero and non-zero trace ids,
+// fault point names that need JSON escapes, and doubles whose shortest
+// exact rendering is long (1e-7, 0.1, the largest finite value).
+std::vector<ProvenanceRecord> GoldenRecords() {
+  std::vector<ProvenanceRecord> records;
+  records.push_back(ProvenanceRecord{});  // all defaults: unknown path
+
+  {
+    ProvenanceRecord r;
+    r.rid = 1;
+    r.sender = 42;
+    r.outcome = RequestOutcome::kServed;
+    r.status = StatusCode::kOk;
+    r.trace_id = 0x0123456789abcdefULL;
+    r.k = 50;
+    r.cloak_x1 = 0;
+    r.cloak_y1 = 0;
+    r.cloak_x2 = 131072;
+    r.cloak_y2 = 131072;
+    r.cloak_area = 131072LL * 131072LL;
+    r.policy_node = 0;
+    r.tree_path = TreePath::FromTurns(0, 0);
+    r.node_depth = 0;
+    r.group_size = 100000;
+    r.passed_up = 0;
+    r.cache_hit = true;
+    r.lbs_attempts = 0;
+    r.total_seconds = 1e-7;
+    r.cloak_seconds = 0.1;
+    r.lbs_seconds = DBL_MAX;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.rid = 2;
+    r.sender = -7;
+    r.outcome = RequestOutcome::kDegraded;
+    r.status = StatusCode::kUnavailable;
+    r.trace_id = 0xffffffffffffffffULL;
+    r.k = 10;
+    r.cloak_x1 = -65536;
+    r.cloak_y1 = 65536;
+    r.cloak_x2 = 0;
+    r.cloak_y2 = 131072;
+    r.cloak_area = 65536LL * 65536LL;
+    r.policy_node = 2;
+    r.tree_path = TreePath::FromTurns(1, 1);
+    r.node_depth = 1;
+    r.group_size = 51;
+    r.passed_up = 1;
+    r.stale_fallback = true;
+    r.lbs_attempts = 4;
+    r.lbs_retries = 3;
+    r.lbs_simulated_micros = 0.1;
+    AddFaultFire(&r, "lbs/\"quoted\"");
+    AddFaultFire(&r, "back\\slash");
+    AddFaultFire(&r, "tab\tnew\nline");
+    AddFaultFire(&r, std::string("ctl\x01\x1f", 5));
+    AddFaultFire(&r, "lbs/\"quoted\"");
+    r.total_seconds = DBL_MAX;
+    r.cloak_seconds = 1e-7;
+    r.lbs_seconds = 0.1;
+    r.net_decode_seconds = 1e-7;
+    r.net_queue_seconds = 0.1;
+    r.net_encode_seconds = DBL_MAX;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.rid = 3;
+    r.sender = 9007199254740991LL;
+    r.outcome = RequestOutcome::kFailed;
+    r.status = StatusCode::kDeadlineExceeded;
+    r.trace_id = 1;
+    r.k = 2;
+    r.cloak_x1 = 17;
+    r.cloak_y1 = 34;
+    r.cloak_x2 = 18;
+    r.cloak_y2 = 35;
+    r.cloak_area = 1;
+    r.policy_node = 262143;
+    r.tree_path = TreePath::FromTurns(0x1b5a3, 17);
+    r.node_depth = 17;
+    r.group_size = 2;
+    r.passed_up = 0;
+    r.lbs_attempts = 1;
+    r.breaker_rejected = true;
+    r.deadline_exceeded = true;
+    r.lbs_simulated_micros = 1e-7;
+    AddFaultFire(&r, "lbs/timeout");
+    r.total_seconds = 0.1;
+    r.cloak_seconds = DBL_MAX;
+    r.lbs_seconds = 1e-7;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.rid = 4;
+    r.sender = 123;
+    r.outcome = RequestOutcome::kServed;
+    r.status = StatusCode::kInfeasible;
+    r.k = 5;
+    r.policy_node = 2147483647;
+    r.tree_path = TreePath::FromTurns(0x5a5a5a5a5a5a5a5aULL, 63);
+    r.node_depth = 63;
+    r.group_size = 5;
+    r.passed_up = 3;
+    r.lbs_simulated_micros = DBL_MAX;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.sender = 8;
+    r.outcome = RequestOutcome::kRejected;
+    r.status = StatusCode::kInvalidArgument;
+    r.k = 50;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.rid = 6;
+    r.outcome = RequestOutcome::kFailed;
+    r.status = StatusCode::kInternal;
+    r.tree_path = TreePath::FromTurns(~0ULL, 63);
+    r.node_depth = 63;
+    records.push_back(r);
+  }
+  {
+    ProvenanceRecord r;
+    r.sender = 9;
+    r.outcome = RequestOutcome::kRejected;
+    r.status = StatusCode::kNotFound;
+    r.trace_id = 0xabc;
+    records.push_back(r);
+  }
+  return records;
+}
+
+// ProvenanceToJsonl of GoldenRecords(), as the audit format has always
+// written them (captured when status and tree_path were strings): the
+// bytes a written audit file holds, which must not change.
+const char* const kGoldenLines[] = {
+    R"({"rid":0,"sender":0,"outcome":"rejected","status":"OK","k":0,"cloak_x1":0,"cloak_y1":0,"cloak_x2":0,"cloak_y2":0,"cloak_area":0,"policy_node":-1,"tree_path":"","node_depth":-1,"group_size":0,"passed_up":0,"cache_hit":false,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0,"fault_fires":{},"total_seconds":0,"cloak_seconds":0,"lbs_seconds":0,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":1,"sender":42,"outcome":"served","status":"OK","trace_id":"0123456789abcdef","k":50,"cloak_x1":0,"cloak_y1":0,"cloak_x2":131072,"cloak_y2":131072,"cloak_area":17179869184,"policy_node":0,"tree_path":"r","node_depth":0,"group_size":100000,"passed_up":0,"cache_hit":true,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0,"fault_fires":{},"total_seconds":9.9999999999999995e-08,"cloak_seconds":0.10000000000000001,"lbs_seconds":1.7976931348623157e+308,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":2,"sender":-7,"outcome":"degraded","status":"UNAVAILABLE","trace_id":"ffffffffffffffff","k":10,"cloak_x1":-65536,"cloak_y1":65536,"cloak_x2":0,"cloak_y2":131072,"cloak_area":4294967296,"policy_node":2,"tree_path":"r.1","node_depth":1,"group_size":51,"passed_up":1,"cache_hit":false,"stale_fallback":true,"lbs_attempts":4,"lbs_retries":3,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0.10000000000000001,"fault_fires":{"back\\slash":1,"ctl\u0001\u001f":1,"lbs/\"quoted\"":2,"tab\tnew\nline":1},"total_seconds":1.7976931348623157e+308,"cloak_seconds":9.9999999999999995e-08,"lbs_seconds":0.10000000000000001,"net_decode_seconds":9.9999999999999995e-08,"net_queue_seconds":0.10000000000000001,"net_encode_seconds":1.7976931348623157e+308})",
+    R"({"rid":3,"sender":9007199254740991,"outcome":"failed","status":"DEADLINE_EXCEEDED","trace_id":"0000000000000001","k":2,"cloak_x1":17,"cloak_y1":34,"cloak_x2":18,"cloak_y2":35,"cloak_area":1,"policy_node":262143,"tree_path":"r.1.1.0.1.1.0.1.0.1.1.0.1.0.0.0.1.1","node_depth":17,"group_size":2,"passed_up":0,"cache_hit":false,"stale_fallback":false,"lbs_attempts":1,"lbs_retries":0,"breaker_rejected":true,"deadline_exceeded":true,"lbs_simulated_micros":9.9999999999999995e-08,"fault_fires":{"lbs/timeout":1},"total_seconds":0.10000000000000001,"cloak_seconds":1.7976931348623157e+308,"lbs_seconds":9.9999999999999995e-08,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":4,"sender":123,"outcome":"served","status":"INFEASIBLE","k":5,"cloak_x1":0,"cloak_y1":0,"cloak_x2":0,"cloak_y2":0,"cloak_area":0,"policy_node":2147483647,"tree_path":"r.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0.0.1.0.1.1.0.1.0","node_depth":63,"group_size":5,"passed_up":3,"cache_hit":false,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":1.7976931348623157e+308,"fault_fires":{},"total_seconds":0,"cloak_seconds":0,"lbs_seconds":0,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":0,"sender":8,"outcome":"rejected","status":"INVALID_ARGUMENT","k":50,"cloak_x1":0,"cloak_y1":0,"cloak_x2":0,"cloak_y2":0,"cloak_area":0,"policy_node":-1,"tree_path":"","node_depth":-1,"group_size":0,"passed_up":0,"cache_hit":false,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0,"fault_fires":{},"total_seconds":0,"cloak_seconds":0,"lbs_seconds":0,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":6,"sender":0,"outcome":"failed","status":"INTERNAL","k":0,"cloak_x1":0,"cloak_y1":0,"cloak_x2":0,"cloak_y2":0,"cloak_area":0,"policy_node":-1,"tree_path":"r.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1.1","node_depth":63,"group_size":0,"passed_up":0,"cache_hit":false,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0,"fault_fires":{},"total_seconds":0,"cloak_seconds":0,"lbs_seconds":0,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+    R"({"rid":0,"sender":9,"outcome":"rejected","status":"NOT_FOUND","trace_id":"0000000000000abc","k":0,"cloak_x1":0,"cloak_y1":0,"cloak_x2":0,"cloak_y2":0,"cloak_area":0,"policy_node":-1,"tree_path":"","node_depth":-1,"group_size":0,"passed_up":0,"cache_hit":false,"stale_fallback":false,"lbs_attempts":0,"lbs_retries":0,"breaker_rejected":false,"deadline_exceeded":false,"lbs_simulated_micros":0,"fault_fires":{},"total_seconds":0,"cloak_seconds":0,"lbs_seconds":0,"net_decode_seconds":0,"net_queue_seconds":0,"net_encode_seconds":0})",
+};
+
+// A record with every field drawn at random: integers within the ±2^53 a
+// JSON number holds exactly, any finite double, every status, outcome and
+// path depth, and fault point names over all of ASCII.
+ProvenanceRecord RandomRecord(Rng* rng) {
+  constexpr int64_t kExact = int64_t{1} << 53;
+  const auto integer = [rng] { return rng->NextInRange(-kExact, kExact); };
+  const auto count = [rng] { return rng->NextBounded(kExact + 1); };
+  const auto int32 = [rng] {
+    return static_cast<int32_t>(rng->NextInRange(INT32_MIN, INT32_MAX));
+  };
+  const auto uint32 = [rng] { return static_cast<uint32_t>(rng->Next()); };
+  const auto boolean = [rng] { return rng->NextBounded(2) == 1; };
+  const auto real = [rng] {
+    for (;;) {
+      const double v = std::bit_cast<double>(rng->Next());
+      if (std::isfinite(v)) return v;
+    }
+  };
+  ProvenanceRecord r;
+  r.rid = integer();
+  r.sender = integer();
+  r.outcome = static_cast<RequestOutcome>(rng->NextBounded(4));
+  r.status = static_cast<StatusCode>(rng->NextBounded(7));
+  r.trace_id = rng->Next();
+  r.k = int32();
+  r.cloak_x1 = integer();
+  r.cloak_y1 = integer();
+  r.cloak_x2 = integer();
+  r.cloak_y2 = integer();
+  r.cloak_area = integer();
+  r.policy_node = int32();
+  // Depth 64 stands for the unknown path.
+  r.tree_path = TreePath::FromTurns(rng->Next(),
+                                    static_cast<int>(rng->NextBounded(65)));
+  r.node_depth = int32();
+  r.group_size = count();
+  r.passed_up = count();
+  r.cache_hit = boolean();
+  r.stale_fallback = boolean();
+  r.lbs_attempts = uint32();
+  r.lbs_retries = uint32();
+  r.breaker_rejected = boolean();
+  r.deadline_exceeded = boolean();
+  r.lbs_simulated_micros = real();
+  std::map<std::string, uint32_t> fires;
+  for (uint64_t i = rng->NextBounded(4); i > 0; --i) {
+    std::string point;
+    for (uint64_t c = 1 + rng->NextBounded(12); c > 0; --c) {
+      point += static_cast<char>(rng->NextBounded(128));
+    }
+    fires[point] = uint32();
+  }
+  r.fault_fires.assign(fires.begin(), fires.end());
+  r.total_seconds = real();
+  r.cloak_seconds = real();
+  r.lbs_seconds = real();
+  r.net_decode_seconds = real();
+  r.net_queue_seconds = real();
+  r.net_encode_seconds = real();
+  return r;
+}
+
+TEST_F(ProvenanceTest, GoldenRecordsKeepTheirAuditBytes) {
+  const std::vector<ProvenanceRecord> records = GoldenRecords();
+  ASSERT_EQ(records.size(), std::size(kGoldenLines));
+  for (size_t i = 0; i < records.size(); ++i) {
+    const std::string line = ProvenanceToJsonl(records[i]);
+    EXPECT_EQ(line, kGoldenLines[i]) << "record " << i;
+    Result<std::vector<ProvenanceRecord>> back = ParseProvenanceJsonl(line);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    ASSERT_EQ(back->size(), 1u);
+    EXPECT_TRUE(back->front() == records[i]) << "record " << i;
+  }
+}
+
+TEST_F(ProvenanceTest, RandomRecordsRoundTrip) {
+  Rng rng(20261021);
+  for (int i = 0; i < 2000; ++i) {
+    const ProvenanceRecord original = RandomRecord(&rng);
+    const std::string line = ProvenanceToJsonl(original);
+    Result<json::Value> parsed = json::Parse(line);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << line;
+    Result<ProvenanceRecord> back = ProvenanceFromJson(*parsed);
+    ASSERT_TRUE(back.ok()) << back.status().ToString() << "\n" << line;
+    ASSERT_TRUE(original == *back) << "record " << i << ": " << line;
+  }
+}
+
+TEST_F(ProvenanceTest, RecordIsAFixedSizeValue) {
+  EXPECT_LE(sizeof(ProvenanceRecord), 200u);
+  // Only fault fires hold heap; a record without them holds none.
+  EXPECT_GT(RecordApproxBytes(FullRecord()), 0u);
+  ProvenanceRecord quiet = FullRecord();
+  quiet.fault_fires.clear();
+  quiet.fault_fires.shrink_to_fit();
+  EXPECT_EQ(RecordApproxBytes(quiet), 0u);
+  ProvenanceRing ring;
+  ring.Enable(/*capacity=*/64);
+  for (int i = 0; i < 100; ++i) ring.Append(quiet);
+  EXPECT_EQ(ring.ApproxBytes(), 64 * sizeof(ProvenanceRecord));
+}
+
+TEST_F(ProvenanceTest, UnknownStatusAndMalformedPathAreRejected) {
+  const std::string good = ProvenanceToJsonl(FullRecord());
+  const auto with = [&good](const std::string& from, const std::string& to) {
+    std::string line = good;
+    const size_t at = line.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return line.replace(at, from.size(), to);
+  };
+  for (const std::string& bad :
+       {with("\"UNAVAILABLE\"", "\"UNAVAILABLE_NOW\""),
+        with("\"UNAVAILABLE\"", "\"unavailable\""),
+        with("\"r.1.0.0.1.0\"", "\"r.1.0.2\""),
+        with("\"r.1.0.0.1.0\"", "\"root\""),
+        with("\"r.1.0.0.1.0\"", "\"r.1.0.\"")}) {
+    Result<std::vector<ProvenanceRecord>> parsed =
+        ParseProvenanceJsonl(good + "\n" + bad + "\n");
+    ASSERT_FALSE(parsed.ok()) << bad;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("line 2"), std::string::npos)
+        << parsed.status().ToString();
+  }
+  // Missing members keep their defaults: OK and the unknown path.
+  Result<std::vector<ProvenanceRecord>> bare =
+      ParseProvenanceJsonl("{\"rid\":1}");
+  ASSERT_TRUE(bare.ok());
+  EXPECT_EQ(bare->front().status, StatusCode::kOk);
+  EXPECT_FALSE(bare->front().tree_path.known());
 }
 
 TEST_F(ProvenanceTest, OutcomeNamesRoundTrip) {
@@ -167,7 +458,7 @@ TEST_F(ProvenanceTest, WriteJsonlFileRoundTripsTheWholeRing) {
   ring.Append(full);
   ProvenanceRecord rejected;
   rejected.sender = 7;
-  rejected.status = "NOT_FOUND";
+  rejected.status = StatusCode::kNotFound;
   ring.Append(rejected);
 
   const std::string path = ::testing::TempDir() + "/pasa_audit_test.jsonl";

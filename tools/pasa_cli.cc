@@ -220,7 +220,7 @@ void ServeSampleRequests(Anonymizer& engine, const LocationDatabase& db,
       if (obs::ProvenanceRecord* p = prov.get()) {
         p->sender = sr.sender;
         p->outcome = obs::RequestOutcome::kRejected;
-        p->status = StatusCodeName(ar.status().code());
+        p->status = ar.status().code();
       }
       continue;
     }
@@ -233,7 +233,7 @@ void ServeSampleRequests(Anonymizer& engine, const LocationDatabase& db,
                                       : obs::RequestOutcome::kServed;
       } else {
         p->outcome = obs::RequestOutcome::kFailed;
-        p->status = StatusCodeName(answer.status().code());
+        p->status = answer.status().code();
       }
     }
   }
@@ -357,7 +357,7 @@ int RunAudit(const Flags& flags) {
 void PrintProvenanceRecord(const obs::ProvenanceRecord& r) {
   std::printf("request %lld (sender %lld): %s, status %s\n",
               static_cast<long long>(r.rid), static_cast<long long>(r.sender),
-              obs::RequestOutcomeName(r.outcome), r.status.c_str());
+              obs::RequestOutcomeName(r.outcome), StatusCodeName(r.status));
   if (r.outcome != obs::RequestOutcome::kRejected) {
     std::printf("  cloak: [%lld,%lld)x[%lld,%lld), area %lld\n",
                 static_cast<long long>(r.cloak_x1),
@@ -367,7 +367,8 @@ void PrintProvenanceRecord(const obs::ProvenanceRecord& r) {
                 static_cast<long long>(r.cloak_area));
     std::printf("  policy: node %d (path %s, depth %d), group size %llu vs "
                 "k=%d (margin %+lld), C(m)=%llu passed up\n",
-                r.policy_node, r.tree_path.empty() ? "?" : r.tree_path.c_str(),
+                r.policy_node,
+                r.tree_path.known() ? r.tree_path.ToString().c_str() : "?",
                 r.node_depth, static_cast<unsigned long long>(r.group_size),
                 r.k,
                 static_cast<long long>(r.group_size) -
